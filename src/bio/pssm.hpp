@@ -27,6 +27,12 @@ class Pssm {
     return data_[pos * kPaddedMatrixDim + residue];
   }
 
+  /// Column of query position `pos`: column(pos)[residue] == score(pos,
+  /// residue). Lets a DP fetch a row's column once instead of per cell.
+  [[nodiscard]] const Score* column(std::size_t pos) const {
+    return data_.data() + pos * kPaddedMatrixDim;
+  }
+
   /// Raw column-major device buffer: column `pos` occupies the 32 scores at
   /// [pos*32, pos*32+32).
   [[nodiscard]] std::span<const Score> device_buffer() const { return data_; }

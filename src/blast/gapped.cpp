@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <climits>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -35,18 +34,42 @@ struct Scratch {
 
 thread_local Scratch tls_scratch;
 
-/// One x-drop half extension. score_at(i, j) gives the substitution score
+/// Substitution scores walking away from a seed: Step = +1 for the right
+/// half, -1 for the left. row(i) fetches the PSSM column of the i-th query
+/// residue away from the seed once; the returned row scores it against the
+/// j-th subject residue away from the seed (both 1-based).
+template <int Step>
+struct SeedScores {
+  const bio::Score* column_at_seed;  ///< PSSM column of the seed position
+  const std::uint8_t* subject_at_seed;
+
+  struct Row {
+    const bio::Score* column;
+    const std::uint8_t* subject_at_seed;
+    int operator()(int j) const { return column[subject_at_seed[Step * j]]; }
+  };
+
+  [[nodiscard]] Row row(int i) const {
+    return {column_at_seed + Step * i * bio::kPaddedMatrixDim,
+            subject_at_seed};
+  }
+};
+
+/// One x-drop half extension; scores.row(i)(j) gives the substitution score
 /// of the i-th query residue vs the j-th subject residue away from the seed
-/// (both 1-based). q_avail/s_avail bound i/j.
-HalfResult extend_half(const std::function<int(int, int)>& score_at,
-                       std::size_t q_avail, std::size_t s_avail,
-                       const SearchParams& params, bool want_traceback) {
+/// (both 1-based). q_avail/s_avail bound i/j. The score pass and the
+/// traceback pass share this body, so they provably agree; the score pass
+/// compiles without the direction bytes.
+template <bool Traceback, class Scores>
+HalfResult extend_half(const Scores& scores, std::size_t q_avail,
+                       std::size_t s_avail, const SearchParams& params) {
   HalfResult result;
   if (q_avail == 0 && s_avail == 0) return result;
 
   const int x = params.gapped_xdrop;
   const int open_cost = params.gap_open + params.gap_extend;
   const int extend_cost = params.gap_extend;
+  const int s_last = static_cast<int>(s_avail);
 
   Scratch& sc = tls_scratch;
   const std::size_t width = s_avail + 2;
@@ -56,33 +79,41 @@ HalfResult extend_half(const std::function<int(int, int)>& score_at,
     sc.h_cur.resize(width);
     sc.f_cur.resize(width);
   }
-  sc.dirs.clear();
-  sc.row_lo.clear();
-  sc.row_hi.clear();
-  sc.row_offset.clear();
+  // Rows swap by pointer; which buffer holds which row carries no state
+  // across calls, since row 0 is rewritten below.
+  int* h_prev = sc.h_prev.data();
+  int* f_prev = sc.f_prev.data();
+  int* h_cur = sc.h_cur.data();
+  int* f_cur = sc.f_cur.data();
+  if constexpr (Traceback) {
+    sc.dirs.clear();
+    sc.row_lo.clear();
+    sc.row_hi.clear();
+    sc.row_offset.clear();
+  }
 
   int best = 0, best_i = 0, best_j = 0;
 
   // Row 0: leading gap in the query (consuming subject residues).
   int lo = 0, hi = 0;
-  sc.h_prev[0] = 0;
-  sc.f_prev[0] = kNegInf;
-  if (want_traceback) {
+  h_prev[0] = 0;
+  f_prev[0] = kNegInf;
+  if constexpr (Traceback) {
     sc.row_lo.push_back(0);
     sc.row_offset.push_back(0);
     sc.dirs.push_back(kStart);
   }
-  for (int j = 1; j <= static_cast<int>(s_avail); ++j) {
+  for (int j = 1; j <= s_last; ++j) {
     const int val = -(open_cost + (j - 1) * extend_cost);
     if (val < best - x) break;
-    sc.h_prev[static_cast<std::size_t>(j)] = val;
-    sc.f_prev[static_cast<std::size_t>(j)] = kNegInf;
+    h_prev[j] = val;
+    f_prev[j] = kNegInf;
     hi = j;
-    if (want_traceback)
+    if constexpr (Traceback)
       sc.dirs.push_back(static_cast<std::uint8_t>(
           kFromE | (j > 1 ? kESrcExtend : 0)));
   }
-  if (want_traceback) sc.row_hi.push_back(hi);
+  if constexpr (Traceback) sc.row_hi.push_back(hi);
 
   // Subsequent rows.
   for (int i = 1; i <= static_cast<int>(q_avail); ++i) {
@@ -90,35 +121,31 @@ HalfResult extend_half(const std::function<int(int, int)>& score_at,
     int new_lo = -1, new_hi = -1;
     int e = kNegInf;         // E(i, j) running along the row
     int h_left = kNegInf;    // H(i, j-1)
-    const std::size_t dir_base = sc.dirs.size();
-    int row_start_j = prev_lo;  // leftmost cell this row can populate
+    const std::size_t dir_base = Traceback ? sc.dirs.size() : 0;
+    const auto row = scores.row(i);
 
-    for (int j = row_start_j; j <= static_cast<int>(s_avail); ++j) {
+    int j = prev_lo;  // leftmost cell this row can populate
+    if (j == 0) {
+      // Leading gap in the subject: H(i,0) via the F chain only.
+      const int h0 = -(open_cost + (i - 1) * extend_cost);
+      if (h0 >= best - x) {
+        h_cur[0] = h0;
+        f_cur[0] = h0;
+        new_lo = 0;
+        new_hi = 0;
+        if constexpr (Traceback)
+          sc.dirs.push_back(
+              static_cast<std::uint8_t>(kFromF | (i > 1 ? kFSrcExtend : 0)));
+        h_left = h0;
+      }
+      j = 1;
+    }
+
+    for (; j <= s_last; ++j) {
       // Candidate values.
       int h_diag = kNegInf;
-      if (j == 0) {
-        // Leading gap in the subject: H(i,0) via the F chain only.
-        const int val = -(open_cost + (i - 1) * extend_cost);
-        const int f0 = val;
-        const int h0 = val;
-        std::uint8_t dir = kFromF;
-        if (i > 1) dir |= kFSrcExtend;
-        if (h0 >= best - x) {
-          sc.h_cur[0] = h0;
-          sc.f_cur[0] = f0;
-          if (new_lo < 0) new_lo = 0;
-          new_hi = 0;
-          if (want_traceback) sc.dirs.push_back(dir);
-          h_left = h0;
-        } else {
-          h_left = kNegInf;
-          if (new_lo < 0) row_start_j = j + 1;
-        }
-        e = kNegInf;
-        continue;
-      }
       if (j - 1 >= prev_lo && j - 1 <= prev_hi)
-        h_diag = sc.h_prev[static_cast<std::size_t>(j - 1)] + score_at(i, j);
+        h_diag = h_prev[j - 1] + row(j);
 
       const int e_open = h_left == kNegInf ? kNegInf : h_left - open_cost;
       const int e_ext = e == kNegInf ? kNegInf : e - extend_cost;
@@ -126,25 +153,26 @@ HalfResult extend_half(const std::function<int(int, int)>& score_at,
 
       int f_open = kNegInf, f_ext = kNegInf;
       if (j >= prev_lo && j <= prev_hi) {
-        f_open = sc.h_prev[static_cast<std::size_t>(j)] - open_cost;
-        if (sc.f_prev[static_cast<std::size_t>(j)] != kNegInf)
-          f_ext = sc.f_prev[static_cast<std::size_t>(j)] - extend_cost;
+        f_open = h_prev[j] - open_cost;
+        if (f_prev[j] != kNegInf) f_ext = f_prev[j] - extend_cost;
       }
       const int f_val = std::max(f_open, f_ext);
 
-      int h = std::max({h_diag, e_val, f_val});
-      std::uint8_t dir;
-      if (h == kNegInf) {
-        dir = kStart;
-      } else if (h == h_diag) {
-        dir = kDiag;
-      } else if (h == e_val) {
-        dir = kFromE;
-      } else {
-        dir = kFromF;
+      const int h = std::max({h_diag, e_val, f_val});
+      std::uint8_t dir = 0;
+      if constexpr (Traceback) {
+        if (h == kNegInf) {
+          dir = kStart;
+        } else if (h == h_diag) {
+          dir = kDiag;
+        } else if (h == e_val) {
+          dir = kFromE;
+        } else {
+          dir = kFromF;
+        }
+        if (e_val != kNegInf && e_val == e_ext) dir |= kESrcExtend;
+        if (f_val != kNegInf && f_val == f_ext) dir |= kFSrcExtend;
       }
-      if (e_val != kNegInf && e_val == e_ext) dir |= kESrcExtend;
-      if (f_val != kNegInf && f_val == f_ext) dir |= kFSrcExtend;
 
       const bool alive =
           (h != kNegInf && h >= best - x) ||
@@ -156,7 +184,6 @@ HalfResult extend_half(const std::function<int(int, int)>& score_at,
           // Still hunting for the first live cell of this row.
           h_left = kNegInf;
           e = kNegInf;
-          row_start_j = j + 1;
           continue;
         }
         // Past the live region: nothing to the right can revive once we
@@ -166,18 +193,18 @@ HalfResult extend_half(const std::function<int(int, int)>& score_at,
         h_left = kNegInf;
         e = e_val;
         // Record a dead cell so traceback indexing stays dense.
-        sc.h_cur[static_cast<std::size_t>(j)] = kNegInf;
-        sc.f_cur[static_cast<std::size_t>(j)] = kNegInf;
+        h_cur[j] = kNegInf;
+        f_cur[j] = kNegInf;
         new_hi = j;
-        if (want_traceback) sc.dirs.push_back(dir);
+        if constexpr (Traceback) sc.dirs.push_back(dir);
         continue;
       }
 
       if (new_lo < 0) new_lo = j;
       new_hi = j;
-      sc.h_cur[static_cast<std::size_t>(j)] = h;
-      sc.f_cur[static_cast<std::size_t>(j)] = f_val;
-      if (want_traceback) sc.dirs.push_back(dir);
+      h_cur[j] = h;
+      f_cur[j] = f_val;
+      if constexpr (Traceback) sc.dirs.push_back(dir);
       h_left = h;
       e = e_val;
 
@@ -191,26 +218,22 @@ HalfResult extend_half(const std::function<int(int, int)>& score_at,
     if (new_lo < 0) break;  // row empty: extension exhausted
     lo = new_lo;
     hi = new_hi;
-    if (want_traceback) {
+    if constexpr (Traceback) {
       sc.row_lo.push_back(lo);
       sc.row_hi.push_back(hi);
-      sc.row_offset.push_back(dir_base + static_cast<std::size_t>(
-          lo - row_start_j > 0 ? 0 : 0));
-      // dirs for this row start at dir_base and cover [row_start_actual, hi];
-      // row_start_actual equals new_lo only if no dead prefix was recorded.
-      // We recorded bytes starting at the first *recorded* cell, which is
-      // new_lo (dead prefix cells were skipped, dead suffix cells recorded).
-      sc.row_offset.back() = dir_base;
+      // Dead prefix cells were skipped and dead suffix cells recorded, so
+      // this row's bytes start at dir_base and cover [lo, hi].
+      sc.row_offset.push_back(dir_base);
     }
-    std::swap(sc.h_prev, sc.h_cur);
-    std::swap(sc.f_prev, sc.f_cur);
+    std::swap(h_prev, h_cur);
+    std::swap(f_prev, f_cur);
   }
 
   result.score = best;
   result.q_reach = static_cast<std::uint32_t>(best_i);
   result.s_reach = static_cast<std::uint32_t>(best_j);
 
-  if (want_traceback && (best_i > 0 || best_j > 0)) {
+  if (Traceback && (best_i > 0 || best_j > 0)) {
     // Walk direction bytes from (best_i, best_j) back to (0, 0).
     auto dir_at = [&](int i, int j) -> std::uint8_t {
       const std::size_t row = static_cast<std::size_t>(i);
@@ -264,38 +287,46 @@ HalfResult extend_half(const std::function<int(int, int)>& score_at,
   return result;
 }
 
+/// Both half extensions from one seed; seed_score is the seed pair's own.
+struct Extension {
+  int seed_score = 0;
+  HalfResult left, right;
+};
+
+template <bool Traceback>
+Extension extend_seed(const bio::Pssm& pssm,
+                      std::span<const std::uint8_t> subject,
+                      std::uint32_t qseed, std::uint32_t sseed,
+                      const SearchParams& params) {
+  const auto qlen = static_cast<std::uint32_t>(pssm.query_length());
+  const auto slen = static_cast<std::uint32_t>(subject.size());
+  assert(qseed < qlen && sseed < slen);
+  Extension ext;
+  ext.seed_score = pssm.score(qseed, subject[sseed]);
+  const bio::Score* column = pssm.column(qseed);
+  const std::uint8_t* residue = subject.data() + sseed;
+  ext.right = extend_half<Traceback>(SeedScores<+1>{column, residue},
+                                     qlen - 1 - qseed, slen - 1 - sseed,
+                                     params);
+  ext.left = extend_half<Traceback>(SeedScores<-1>{column, residue}, qseed,
+                                    sseed, params);
+  return ext;
+}
+
 }  // namespace
 
 GappedScore gapped_score(const bio::Pssm& pssm,
                          std::span<const std::uint8_t> subject,
                          std::uint32_t qseed, std::uint32_t sseed,
                          const SearchParams& params) {
-  const auto qlen = static_cast<std::uint32_t>(pssm.query_length());
-  const auto slen = static_cast<std::uint32_t>(subject.size());
-  assert(qseed < qlen && sseed < slen);
-
-  const int seed_score = pssm.score(qseed, subject[sseed]);
-
-  const HalfResult right = extend_half(
-      [&](int i, int j) {
-        return pssm.score(qseed + static_cast<std::uint32_t>(i),
-                          subject[sseed + static_cast<std::uint32_t>(j)]);
-      },
-      qlen - 1 - qseed, slen - 1 - sseed, params, /*want_traceback=*/false);
-
-  const HalfResult left = extend_half(
-      [&](int i, int j) {
-        return pssm.score(qseed - static_cast<std::uint32_t>(i),
-                          subject[sseed - static_cast<std::uint32_t>(j)]);
-      },
-      qseed, sseed, params, /*want_traceback=*/false);
-
+  const Extension ext =
+      extend_seed</*Traceback=*/false>(pssm, subject, qseed, sseed, params);
   GappedScore out;
-  out.score = seed_score + left.score + right.score;
-  out.q_start = qseed - left.q_reach;
-  out.s_start = sseed - left.s_reach;
-  out.q_end = qseed + right.q_reach;
-  out.s_end = sseed + right.s_reach;
+  out.score = ext.seed_score + ext.left.score + ext.right.score;
+  out.q_start = qseed - ext.left.q_reach;
+  out.s_start = sseed - ext.left.s_reach;
+  out.q_end = qseed + ext.right.q_reach;
+  out.s_end = sseed + ext.right.s_reach;
   return out;
 }
 
@@ -303,42 +334,22 @@ Alignment gapped_traceback(const bio::Pssm& pssm,
                            std::span<const std::uint8_t> subject,
                            std::uint32_t seq_index, std::uint32_t qseed,
                            std::uint32_t sseed, const SearchParams& params) {
-  const auto qlen = static_cast<std::uint32_t>(pssm.query_length());
-  const auto slen = static_cast<std::uint32_t>(subject.size());
-  assert(qseed < qlen && sseed < slen);
-
-  const int seed_score = pssm.score(qseed, subject[sseed]);
-
-  const HalfResult right = extend_half(
-      [&](int i, int j) {
-        return pssm.score(qseed + static_cast<std::uint32_t>(i),
-                          subject[sseed + static_cast<std::uint32_t>(j)]);
-      },
-      qlen - 1 - qseed, slen - 1 - sseed, params, /*want_traceback=*/true);
-  // right.ops is emitted far-end first: reversing yields seed->right order.
-  std::string right_ops(right.ops.rbegin(), right.ops.rend());
-
-  const HalfResult left = extend_half(
-      [&](int i, int j) {
-        return pssm.score(qseed - static_cast<std::uint32_t>(i),
-                          subject[sseed - static_cast<std::uint32_t>(j)]);
-      },
-      qseed, sseed, params, /*want_traceback=*/true);
-  // left.ops is emitted far-end first, and for the left half "far end" is
-  // the leftmost (sequence-order first) residue — already in order.
-  const std::string& left_ops = left.ops;
-
+  const Extension ext =
+      extend_seed</*Traceback=*/true>(pssm, subject, qseed, sseed, params);
   Alignment alignment;
   alignment.seq = seq_index;
-  alignment.score = seed_score + left.score + right.score;
-  alignment.q_start = qseed - left.q_reach;
-  alignment.s_start = sseed - left.s_reach;
-  alignment.q_end = qseed + right.q_reach;
-  alignment.s_end = sseed + right.s_reach;
-  alignment.ops.reserve(left_ops.size() + 1 + right_ops.size());
-  alignment.ops += left_ops;
+  alignment.score = ext.seed_score + ext.left.score + ext.right.score;
+  alignment.q_start = qseed - ext.left.q_reach;
+  alignment.s_start = sseed - ext.left.s_reach;
+  alignment.q_end = qseed + ext.right.q_reach;
+  alignment.s_end = sseed + ext.right.s_reach;
+  // Both halves emit ops far-end first. For the left half the far end is
+  // the leftmost residue, so its ops are already in sequence order; the
+  // right half's are reversed into seed->right order.
+  alignment.ops.reserve(ext.left.ops.size() + 1 + ext.right.ops.size());
+  alignment.ops += ext.left.ops;
   alignment.ops.push_back('M');
-  alignment.ops += right_ops;
+  alignment.ops.append(ext.right.ops.rbegin(), ext.right.ops.rend());
   return alignment;
 }
 

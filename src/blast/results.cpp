@@ -1,11 +1,13 @@
 #include "blast/results.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 #include <tuple>
 
 #include "bio/alphabet.hpp"
 #include "blast/gapped.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace repro::blast {
@@ -87,7 +89,7 @@ void dedupe_extensions(std::vector<UngappedExtension>& extensions) {
 GappedStageOutput process_gapped_stage(
     const bio::Pssm& pssm, const bio::SequenceDatabase& db,
     std::span<const UngappedExtension> extensions, const SearchParams& params,
-    const bio::EvalueCalculator& evalue) {
+    const bio::EvalueCalculator& evalue, std::size_t threads) {
   GappedStageOutput out;
 
   // One gapped extension per distinct seed point, in deterministic order.
@@ -101,25 +103,50 @@ GappedStageOutput process_gapped_stage(
   const int traceback_cutoff =
       evalue.min_significant_score(params.max_evalue);
 
-  for (const Seed& seed : seeds) {
+  // Each seed fills its own slot, so workers never share output.
+  struct SeedSlot {
+    double gapped_cost = 0.0;
+    double traceback_cost = 0.0;
+    std::optional<Alignment> alignment;  ///< set iff the seed was traced
+  };
+  std::vector<SeedSlot> slots(seeds.size());
+  auto run_seed = [&](std::size_t i) {
+    const Seed& seed = seeds[i];
+    SeedSlot& slot = slots[i];
     const auto subject = db.residues(seed.seq);
     util::Timer gapped_timer;
     const GappedScore gs =
         gapped_score(pssm, subject, seed.q_seed, seed.s_seed, params);
-    const double gapped_cost = gapped_timer.seconds();
-    out.gapped_seconds += gapped_cost;
-    out.gapped_task_costs.push_back(gapped_cost);
-    ++out.gapped_extensions;
-    if (gs.score < traceback_cutoff) continue;
+    slot.gapped_cost = gapped_timer.seconds();
+    if (gs.score < traceback_cutoff) return;
 
     util::Timer traceback_timer;
-    Alignment alignment = gapped_traceback(pssm, subject, seed.seq,
-                                           seed.q_seed, seed.s_seed, params);
-    const double tb_cost = traceback_timer.seconds();
-    out.traceback_seconds += tb_cost;
-    out.traceback_task_costs.push_back(tb_cost);
+    slot.alignment = gapped_traceback(pssm, subject, seed.seq, seed.q_seed,
+                                      seed.s_seed, params);
+    slot.traceback_cost = traceback_timer.seconds();
+  };
+
+  threads = std::min(threads, seeds.size() / kMinSeedsPerWorker);
+  if (threads <= 1) {
+    for (std::size_t i = 0; i < seeds.size(); ++i) run_seed(i);
+  } else {
+    // A pool of this call's own: the caller may itself be a pool worker.
+    util::ThreadPool pool(threads, "cpu-stage");
+    pool.parallel_for_dynamic(seeds.size(), run_seed);
+  }
+
+  // Merge in seed order, so alignments, counters, the task order of the
+  // cost vectors and the summation order of their totals are the serial
+  // loop's at any thread count.
+  for (SeedSlot& slot : slots) {
+    out.gapped_seconds += slot.gapped_cost;
+    out.gapped_task_costs.push_back(slot.gapped_cost);
+    ++out.gapped_extensions;
+    if (!slot.alignment.has_value()) continue;
+    out.traceback_seconds += slot.traceback_cost;
+    out.traceback_task_costs.push_back(slot.traceback_cost);
     ++out.tracebacks;
-    out.alignments.push_back(std::move(alignment));
+    out.alignments.push_back(std::move(*slot.alignment));
   }
 
   dedupe_alignments(out.alignments);

@@ -29,14 +29,24 @@ struct GappedStageOutput {
   std::vector<double> traceback_task_costs;
 };
 
+/// Fewest distinct seeds per worker before process_gapped_stage spreads a
+/// call over more than one thread. Smaller calls run serially: a handful of
+/// seeds is usually dominated by one long homolog extension, and the pool's
+/// start-up and cold caches then cost more than the workers save.
+inline constexpr std::size_t kMinSeedsPerWorker = 16;
+
 /// Runs gapped extension (score pass) and alignment-with-traceback for
 /// every qualifying seed. Seeds whose gapped score fails the e-value cutoff
-/// are dropped before traceback, as in BLAST. Deterministic regardless of
-/// the input order of `extensions`.
+/// are dropped before traceback, as in BLAST. Seeds run on
+/// min(threads, seeds / kMinSeedsPerWorker) workers of a pool private to
+/// the call (serially below two), and their results are merged in seed
+/// order: alignments, counters, the task order of the cost vectors and the
+/// summation order of the cost totals are the serial loop's at every thread
+/// count. Deterministic regardless of the input order of `extensions`.
 [[nodiscard]] GappedStageOutput process_gapped_stage(
     const bio::Pssm& pssm, const bio::SequenceDatabase& db,
     std::span<const UngappedExtension> extensions, const SearchParams& params,
-    const bio::EvalueCalculator& evalue);
+    const bio::EvalueCalculator& evalue, std::size_t threads = 1);
 
 /// Attaches e-values/bit scores, filters by params.max_evalue, and ranks
 /// best-first (score desc, then seq, then coordinates — a total order, so

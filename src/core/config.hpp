@@ -115,7 +115,10 @@ struct Config {
   /// Database blocks for the CPU/GPU pipeline (paper Fig. 12).
   std::size_t db_blocks = 4;
 
-  /// CPU worker threads for gapped extension and traceback.
+  /// CPU worker threads for gapped extension and traceback: each block's
+  /// seeds run on up to this many real threads (capped by the host's
+  /// hardware threads and blast::kMinSeedsPerWorker), and the modeled
+  /// Fig. 12 makespans price this many workers.
   std::size_t cpu_threads = 4;
 
   /// Host worker threads the SIMT engine uses to execute blocks

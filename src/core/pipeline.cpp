@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "blast/ungapped.hpp"
@@ -502,8 +503,10 @@ BlockCpuResult run_block_cpu_stage(
     std::span<const blast::UngappedExtension> extensions,
     const Config& config) {
   BlockCpuResult result;
+  const std::size_t threads = std::min<std::size_t>(
+      config.cpu_threads, std::max(1u, std::thread::hardware_concurrency()));
   auto stage = blast::process_gapped_stage(ctx.pssm, db, extensions,
-                                           config.params, ctx.evalue);
+                                           config.params, ctx.evalue, threads);
   result.gapped_makespan_seconds = util::list_schedule_makespan(
       stage.gapped_task_costs, config.cpu_threads);
   result.traceback_makespan_seconds = util::list_schedule_makespan(

@@ -181,9 +181,12 @@ struct BlockCpuResult {
 };
 
 /// Stage 4: gapped extension + traceback for one block's qualifying
-/// ungapped extensions. Pure with respect to the engine and the session —
-/// it reads only the query context and the host database — so one query's
-/// CPU stage can run concurrently with another query's GPU stages.
+/// ungapped extensions, on up to min(config.cpu_threads, hardware threads)
+/// workers of a pool private to the call (never a session pool, so a
+/// caller running on one cannot wait on itself). Pure with respect to the
+/// engine and the session — it reads only the query context and the host
+/// database — so one query's CPU stage can run concurrently with another
+/// query's GPU stages.
 [[nodiscard]] BlockCpuResult run_block_cpu_stage(
     const QueryContext& ctx, const bio::SequenceDatabase& db,
     std::span<const blast::UngappedExtension> extensions,

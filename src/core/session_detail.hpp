@@ -33,7 +33,7 @@ namespace repro::core::detail {
 // coverage contract; DESIGN.md §15/§17). Coverage scopes are per thread:
 // the single-engine search polls everything on the session thread, while a
 // sharded search splits the sets between the gathering main thread (which
-// also runs the serial CPU half, so it owns the cpu_phase checkpoints) and
+// also drives the CPU half, so it owns the cpu_phase checkpoints) and
 // the per-shard workers (which own the GPU-block checkpoints).
 inline constexpr const char* kSearchAlwaysCheckpoints[] = {
     "search.entry", "query.start", "finalize"};

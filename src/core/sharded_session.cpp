@@ -101,12 +101,12 @@ void ShardedSession::run_query(std::span<const std::uint8_t> query,
         prefilter_threshold_for(config_, run.ctx->evalue);
 
   // --- scatter: the GPU half of the query on every shard ------------------
-  // Only the device-side half fans out. The CPU half (gapped extension,
-  // traceback) runs serially on the gathering thread below: the host CPU
-  // is one shared resource however many modeled GPUs the fleet has, and
-  // the per-task costs it measures feed the pipeline model — measuring
-  // them under K-way self-contention would inflate every modeled makespan
-  // (DESIGN.md §17).
+  // Only the device-side half fans out across shards. The CPU half (gapped
+  // extension, traceback) runs on the gathering thread below, once the
+  // shard pool is idle, each block on its own cpu_threads workers: the host
+  // CPU is one shared resource however many modeled GPUs the fleet has,
+  // and running both halves at once would oversubscribe it and inflate the
+  // per-task costs that feed the pipeline model (DESIGN.md §17).
   const std::size_t k = shards_.size();
   std::vector<std::optional<ShardGpuResult>> gathered(k);
 
@@ -198,9 +198,9 @@ void ShardedSession::run_query(std::span<const std::uint8_t> query,
       merged_profile.add(stats);
     run.hazards.merge(gpu.hazards);
 
-    // CPU half of this shard's blocks, serial on the gathering thread in
-    // shard (= global block) order — the exact per-block loop, summation
-    // order, and uncontended cost measurements of the K=1 path.
+    // CPU half of this shard's blocks, driven from the gathering thread in
+    // shard (= global block) order — the exact per-block loop and
+    // summation order of the K=1 path.
     for (std::size_t bi = 0; bi < shards_[s]->num_blocks(); ++bi) {
       run.cancel.throw_if_stopped("cpu_phase.block");
       const std::size_t global_bi = shards_[s]->first_block() + bi;

@@ -7,10 +7,11 @@
 // degradation ladder) is scattered to every shard on a fleet worker
 // thread; the per-shard results are gathered back in shard order — which
 // is global block order — and the CPU half (gapped extension + traceback)
-// then runs serially on the gathering thread, because the host CPU is one
-// shared resource however many modeled GPUs the fleet has (and because
-// its host-measured per-task costs feed the pipeline model, which K-way
-// self-contention would distort). The merged hit lists, alignments,
+// then runs block by block from the gathering thread, each block on its
+// own cpu_threads workers once the shard pool is idle, because the host
+// CPU is one shared resource however many modeled GPUs the fleet has (and
+// because its host-measured per-task costs feed the pipeline model, which
+// oversubscription would distort). The merged hit lists, alignments,
 // counters, and per-block vectors are bit-identical to a single-engine
 // SearchSession at every K:
 //

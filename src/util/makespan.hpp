@@ -1,10 +1,10 @@
 // Deterministic multi-worker makespan model.
 //
 // The paper's CPU-side scaling figures (Fig. 11, Fig. 13) were measured on a
-// quad-core CPU. This reproduction runs on a single core, so a T-thread
-// wall-clock measurement cannot show real scaling. Instead, the benches
-// measure each independent task's cost sequentially and compute the makespan
-// a T-worker pool would achieve. Two schedules are provided:
+// quad-core CPU. A T-thread wall-clock measurement on this reproduction's
+// host would show that host's core count, not the model's. Instead, the
+// benches measure each independent task's cost and compute the makespan a
+// T-worker pool would achieve. Two schedules are provided:
 //
 //  * list_schedule   — greedy online list scheduling in submission order;
 //                      this matches what ThreadPool::parallel_for_dynamic

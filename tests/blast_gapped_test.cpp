@@ -9,6 +9,7 @@
 #include "bio/generator.hpp"
 #include "bio/pssm.hpp"
 #include "blast/gapped.hpp"
+#include "blast/smith_waterman.hpp"
 #include "util/rng.hpp"
 
 namespace repro {
@@ -221,6 +222,61 @@ TEST(GappedExtension, SingleResidueSubject) {
   EXPECT_EQ(a.s_start, 0u);
   EXPECT_EQ(a.s_end, 0u);
   EXPECT_GE(a.score, pssm.score(10, query[10]));
+}
+
+TEST(GappedExtension, PropertySweep) {
+  // 200 seeded cases, alternating planted homologs and unrelated random
+  // pairs, with seeds anywhere including the first and last residue of
+  // either sequence. Each must rescore from its transcript, agree between
+  // the score and traceback passes, and never beat the exact optimum.
+  for (std::uint64_t seed = 1000; seed < 1200; ++seed) {
+    util::Rng rng(seed);
+    Workload w;
+    if (seed % 2 == 0) {
+      w = homologous_case(seed, 0.1 + 0.05 * static_cast<double>(seed % 4),
+                          0.02 * static_cast<double>(seed % 3));
+    } else {
+      w.query = bio::random_protein(
+          static_cast<std::size_t>(rng.range(1, 160)), rng);
+      w.subject = bio::random_protein(
+          static_cast<std::size_t>(rng.range(1, 160)), rng);
+    }
+    const auto pick = [&rng](std::size_t len, std::uint64_t which) {
+      const auto last = static_cast<std::uint32_t>(len - 1);
+      switch (which) {
+        case 0: return std::uint32_t{0};
+        case 1: return last;
+        default:
+          return static_cast<std::uint32_t>(rng.below(last + 1));
+      }
+    };
+    // Homologs keep their planted seed in two of every three cases.
+    if (seed % 2 != 0 || seed % 3 == 0) {
+      w.qseed = pick(w.query.size(), (seed / 2) % 3);
+      w.sseed = pick(w.subject.size(), (seed / 6) % 3);
+    }
+
+    bio::Pssm pssm(w.query, bio::Blosum62::instance());
+    SearchParams params;
+    const auto gs =
+        blast::gapped_score(pssm, w.subject, w.qseed, w.sseed, params);
+    const auto a = blast::gapped_traceback(pssm, w.subject, 0, w.qseed,
+                                           w.sseed, params);
+    SCOPED_TRACE("seed " + std::to_string(seed) + " qseed " +
+                 std::to_string(w.qseed) + " sseed " +
+                 std::to_string(w.sseed));
+    EXPECT_EQ(a.score, score_from_ops(pssm, w.subject, a, params));
+    EXPECT_EQ(gs.score, a.score);
+    EXPECT_EQ(gs.q_start, a.q_start);
+    EXPECT_EQ(gs.q_end, a.q_end);
+    EXPECT_EQ(gs.s_start, a.s_start);
+    EXPECT_EQ(gs.s_end, a.s_end);
+    EXPECT_LE(a.q_start, w.qseed);
+    EXPECT_GE(a.q_end, w.qseed);
+    EXPECT_LE(a.s_start, w.sseed);
+    EXPECT_GE(a.s_end, w.sseed);
+    EXPECT_LE(a.score, blast::smith_waterman_score(pssm, w.subject, params));
+  }
 }
 
 }  // namespace

@@ -70,9 +70,9 @@ struct StageFixture {
   blast::SearchParams params;
   std::vector<UngappedExtension> extensions;
 
-  explicit StageFixture(std::uint64_t seed) {
+  explicit StageFixture(std::uint64_t seed, std::size_t sequences = 80) {
     query = bio::make_benchmark_query(300).residues;
-    auto profile = bio::DatabaseProfile::swissprot_like(80);
+    auto profile = bio::DatabaseProfile::swissprot_like(sequences);
     profile.homolog_fraction = 0.15;
     bio::DatabaseGenerator gen(profile, seed);
     db = gen.generate(query);
@@ -86,20 +86,53 @@ struct StageFixture {
   }
 };
 
+/// Worker counts the stage must be invariant across (7 oversubscribes a
+/// small host and leaves a ragged last round of seeds).
+constexpr std::size_t kThreadCounts[] = {1, 2, 4, 7};
+
+/// The serial loop's output, which every thread count must reproduce:
+/// alignments in order, counters, and one cost per task.
+void expect_same_stage(const blast::GappedStageOutput& serial,
+                       const blast::GappedStageOutput& run,
+                       std::size_t threads) {
+  EXPECT_EQ(serial.alignments, run.alignments) << threads << " threads";
+  EXPECT_EQ(serial.gapped_extensions, run.gapped_extensions);
+  EXPECT_EQ(serial.tracebacks, run.tracebacks);
+  EXPECT_EQ(serial.gapped_task_costs.size(), run.gapped_task_costs.size());
+  EXPECT_EQ(serial.traceback_task_costs.size(),
+            run.traceback_task_costs.size());
+  EXPECT_EQ(run.gapped_task_costs.size(), run.gapped_extensions);
+  EXPECT_EQ(run.traceback_task_costs.size(), run.tracebacks);
+}
+
+/// Large enough that the stage's seeds fill 7 workers.
+constexpr std::size_t kThreadedSequences = 500;
+
 TEST(GappedStage, DeterministicAndInputOrderInvariant) {
-  StageFixture fx(401);
+  StageFixture fx(401, kThreadedSequences);
   bio::Pssm pssm(fx.query, bio::Blosum62::instance());
   bio::EvalueCalculator evalue(bio::blosum62_gapped_11_1(), fx.query.size(),
                                fx.db.total_residues(), fx.db.size());
-  const auto a = blast::process_gapped_stage(pssm, fx.db, fx.extensions,
-                                             fx.params, evalue);
+  const auto serial = blast::process_gapped_stage(pssm, fx.db, fx.extensions,
+                                                  fx.params, evalue);
+  ASSERT_GT(serial.tracebacks, 0u);
+  // Enough seeds that every thread count below really runs that many
+  // workers.
+  ASSERT_GE(serial.gapped_extensions, 7 * blast::kMinSeedsPerWorker);
   auto shuffled = fx.extensions;
   util::Rng rng(5);
   for (std::size_t i = shuffled.size(); i > 1; --i)
     std::swap(shuffled[i - 1], shuffled[rng.below(i)]);
-  const auto b = blast::process_gapped_stage(pssm, fx.db, shuffled,
-                                             fx.params, evalue);
-  EXPECT_EQ(a.alignments, b.alignments);
+  for (const std::size_t threads : kThreadCounts) {
+    expect_same_stage(serial,
+                      blast::process_gapped_stage(pssm, fx.db, fx.extensions,
+                                                  fx.params, evalue, threads),
+                      threads);
+    expect_same_stage(serial,
+                      blast::process_gapped_stage(pssm, fx.db, shuffled,
+                                                  fx.params, evalue, threads),
+                      threads);
+  }
 }
 
 TEST(GappedStage, PartitionInvariant) {
@@ -107,8 +140,8 @@ TEST(GappedStage, PartitionInvariant) {
   // same set as one global run — this requires every sort in the result
   // path to break ties on full alignment content (an earlier version
   // dropped different ops-variants of equal-score alignments depending on
-  // the partition).
-  StageFixture fx(409);
+  // the partition). Holds at every worker count.
+  StageFixture fx(409, kThreadedSequences);
   bio::Pssm pssm(fx.query, bio::Blosum62::instance());
   bio::EvalueCalculator evalue(bio::blosum62_gapped_11_1(), fx.query.size(),
                                fx.db.total_residues(), fx.db.size());
@@ -116,20 +149,28 @@ TEST(GappedStage, PartitionInvariant) {
                                             fx.params, evalue);
   blast::finalize_results(global.alignments, fx.params, evalue);
 
-  for (const std::size_t blocks : {2u, 3u, 7u}) {
-    std::vector<blast::Alignment> merged;
-    const auto spans = fx.db.split_blocks(blocks);
-    for (const auto& [lo, hi] : spans) {
-      std::vector<UngappedExtension> subset;
-      for (const auto& e : fx.extensions)
-        if (e.seq >= lo && e.seq < hi) subset.push_back(e);
-      auto part = blast::process_gapped_stage(pssm, fx.db, subset, fx.params,
-                                              evalue);
-      merged.insert(merged.end(), part.alignments.begin(),
-                    part.alignments.end());
+  for (const std::size_t threads : kThreadCounts) {
+    for (const std::size_t blocks : {2u, 3u, 7u}) {
+      std::vector<blast::Alignment> merged;
+      std::uint64_t gapped_extensions = 0, tracebacks = 0;
+      const auto spans = fx.db.split_blocks(blocks);
+      for (const auto& [lo, hi] : spans) {
+        std::vector<UngappedExtension> subset;
+        for (const auto& e : fx.extensions)
+          if (e.seq >= lo && e.seq < hi) subset.push_back(e);
+        auto part = blast::process_gapped_stage(pssm, fx.db, subset,
+                                                fx.params, evalue, threads);
+        gapped_extensions += part.gapped_extensions;
+        tracebacks += part.tracebacks;
+        merged.insert(merged.end(), part.alignments.begin(),
+                      part.alignments.end());
+      }
+      blast::finalize_results(merged, fx.params, evalue);
+      EXPECT_EQ(global.alignments, merged)
+          << blocks << " blocks, " << threads << " threads";
+      EXPECT_EQ(global.gapped_extensions, gapped_extensions);
+      EXPECT_EQ(global.tracebacks, tracebacks);
     }
-    blast::finalize_results(merged, fx.params, evalue);
-    EXPECT_EQ(global.alignments, merged) << blocks << " blocks";
   }
 }
 
