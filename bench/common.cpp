@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 #include "gpualgo/segsort.hpp"
 #include "util/rng.hpp"
@@ -229,29 +230,14 @@ int BenchResult::write(const util::Options& options,
 }
 
 int run_engine_wallclock_json(const util::Options& options,
-                              const BenchSetup& setup,
-                              const std::string& bench_name) {
-  const std::string out_path =
-      options.get("json_out", "bench_results/engine_wallclock.json");
+                              const BenchSetup& setup) {
   const int repetitions =
       std::max(1, static_cast<int>(options.get_int("json_reps", 3)));
   const auto w = make_workload(setup, 127, false);
 
-  std::ostringstream json;
-  json.precision(6);
-  json << std::fixed;
-  json << "{\n";
-  json << "  \"bench\": \"" << bench_name << "\",\n";
-  json << "  \"provenance\": " << provenance_json(default_cublastp_config())
-       << ",\n";
-  json << "  \"workload\": {\"query\": \"" << w.query_name
-       << "\", \"db\": \"" << w.db_name << "\", \"db_seqs\": " << w.db.size()
-       << "},\n";
-  json << "  \"repetitions\": " << repetitions << ",\n";
-  json << "  \"runs\": [\n";
-
-  double serial_best_s = 0.0;
-  bool first = true;
+  // Per engine_workers: the modeled GPU time and the alignments are the
+  // deterministic half, the best-of-N host wall the measured half.
+  std::ostringstream runs, walls;
   for (const int workers : {1, 2, 4}) {
     auto config = default_cublastp_config();
     config.engine_workers = workers;
@@ -267,85 +253,55 @@ int run_engine_wallclock_json(const util::Options& options,
       modeled_gpu_ms = report.gpu_critical_ms();
       alignments = report.result.alignments.size();
     }
-    if (workers == 1) serial_best_s = best_s;
-    if (!first) json << ",\n";
-    first = false;
-    json << "    {\"engine_workers\": " << workers
-         << ", \"host_wall_s\": " << best_s
-         << ", \"modeled_gpu_ms\": " << modeled_gpu_ms
+    const char* sep = workers == 1 ? "" : ", ";
+    runs << sep << "{\"engine_workers\": " << workers
+         << ", \"modeled_gpu_ms\": " << format_double(modeled_gpu_ms)
          << ", \"alignments\": " << alignments << "}";
+    walls << sep << "{\"engine_workers\": " << workers
+          << ", \"host_wall_s\": " << format_double(best_s) << "}";
     std::printf("engine_workers=%d: host wall %.3f s (best of %d), "
                 "modeled GPU %.3f ms\n",
                 workers, best_s, repetitions, modeled_gpu_ms);
   }
-  json << "\n  ]";
 
   // Engine-only microkernel (the BM_SegmentedSort/512 workload): the full
-  // pipeline above mixes host-measured CPU phases into the wall-clock, so
-  // this isolates the SIMT execution hot path, where the de-type-erased
-  // dispatch shows.
-  {
-    util::Rng rng(19);
-    std::vector<std::uint64_t> master;
-    std::vector<std::uint32_t> offsets{0};
-    for (int s = 0; s < 512; ++s) {
-      const std::size_t n = rng.below(128);
-      const std::uint32_t padded =
-          n == 0 ? 0 : gpualgo::next_pow2(static_cast<std::uint32_t>(n));
-      for (std::size_t i = 0; i < padded; ++i)
-        master.push_back(i < n ? (rng() >> 1) : gpualgo::kSortPad);
-      offsets.push_back(static_cast<std::uint32_t>(master.size()));
-    }
-    double micro_best_s = 0.0;
-    for (int rep = 0; rep < repetitions; ++rep) {
-      auto data = master;
-      simt::Engine engine;
-      util::Timer timer;
-      gpualgo::segmented_sort_u64(engine, data, offsets);
-      const double wall_s = timer.seconds();
-      if (rep == 0 || wall_s < micro_best_s) micro_best_s = wall_s;
-    }
-    json << ",\n  \"engine_micro\": {\"kernel\": \"segmented_sort_u64\", "
-         << "\"segments\": 512, \"host_wall_s\": " << micro_best_s;
-    std::printf("engine-only segmented_sort_u64/512: host wall %.4f s "
-                "(best of %d)\n",
-                micro_best_s, repetitions);
-    const double baseline_engine_s =
-        options.get_double("baseline_engine_s", 0.0);
-    if (baseline_engine_s > 0.0 && micro_best_s > 0.0) {
-      json << ", \"pre_change_host_wall_s\": " << baseline_engine_s
-           << ", \"speedup_vs_pre_change\": "
-           << baseline_engine_s / micro_best_s;
-      std::printf("engine-only speedup vs pre-change binary: %.2fx\n",
-                  baseline_engine_s / micro_best_s);
-    }
-    json << "}";
+  // pipeline above mixes host-measured CPU phases into the wall clock, so
+  // this isolates the SIMT execution hot path.
+  util::Rng rng(19);
+  std::vector<std::uint64_t> master;
+  std::vector<std::uint32_t> offsets{0};
+  for (int s = 0; s < 512; ++s) {
+    const std::size_t n = rng.below(128);
+    const std::uint32_t padded =
+        n == 0 ? 0 : gpualgo::next_pow2(static_cast<std::uint32_t>(n));
+    for (std::size_t i = 0; i < padded; ++i)
+      master.push_back(i < n ? (rng() >> 1) : gpualgo::kSortPad);
+    offsets.push_back(static_cast<std::uint32_t>(master.size()));
   }
+  double micro_best_s = 0.0;
+  for (int rep = 0; rep < repetitions; ++rep) {
+    auto data = master;
+    simt::Engine engine;
+    util::Timer timer;
+    gpualgo::segmented_sort_u64(engine, data, offsets);
+    const double wall_s = timer.seconds();
+    if (rep == 0 || wall_s < micro_best_s) micro_best_s = wall_s;
+  }
+  std::printf("engine-only segmented_sort_u64/512: host wall %.4f s "
+              "(best of %d)\n",
+              micro_best_s, repetitions);
 
-  // A pre-change measurement (same workload, pre-PR binary) lets the file
-  // carry the de-type-erasure speedup for the perf trajectory.
-  const double baseline_s = options.get_double("baseline_wall_s", 0.0);
-  if (baseline_s > 0.0 && serial_best_s > 0.0) {
-    json << ",\n  \"pre_change_serial_wall_s\": " << baseline_s;
-    json << ",\n  \"serial_speedup_vs_pre_change\": "
-         << baseline_s / serial_best_s;
-    std::printf("full-pipeline serial speedup vs pre-change binary: %.2fx\n",
-                baseline_s / serial_best_s);
-  }
-  json << "\n}\n";
-
-  const std::filesystem::path path(out_path);
-  std::error_code dir_error;
-  if (path.has_parent_path())
-    std::filesystem::create_directories(path.parent_path(), dir_error);
-  std::ofstream out(path);
-  if (dir_error || !out) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  out << json.str();
-  std::printf("wrote %s\n", out_path.c_str());
-  return 0;
+  BenchResult json("engine_wallclock", default_cublastp_config(), setup);
+  json.set_workload(w);
+  json.deterministic_raw("runs", "[" + runs.str() + "]");
+  json.measured("repetitions", static_cast<double>(repetitions));
+  json.measured("host_threads",
+                static_cast<double>(std::thread::hardware_concurrency()));
+  json.measured_raw("host_wall_s", "[" + walls.str() + "]");
+  json.measured_raw("segsort_micro",
+                    "{\"segments\": 512, \"host_wall_s\": " +
+                        format_double(micro_best_s) + "}");
+  return json.write(options, "bench_results/engine_wallclock.json");
 }
 
 }  // namespace repro::benchx

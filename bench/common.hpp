@@ -110,15 +110,13 @@ class BenchResult {
   std::vector<std::pair<std::string, std::string>> measured_;
 };
 
-/// `--json` mode: measures the cuBLASTP engine's host wall-clock (serial
+/// `--json` mode: measures the cuBLASTP engine's host wall clock (serial
 /// vs the SM-sharded parallel engine with 2 and 4 workers) alongside the
-/// modeled GPU milliseconds on the query127/swissprot workload, and writes
-/// the result as JSON (default `bench_results/engine_wallclock.json`;
-/// override with `--json_out=PATH`). Pass `--baseline_wall_s=S` (the same
-/// measurement taken with a pre-change binary) to embed the speedup ratio.
-/// Returns a process exit code.
+/// modeled GPU milliseconds on the query127/swissprot workload, plus an
+/// engine-only segmented-sort micro, and writes a cublastp.bench.v1 result
+/// (default `bench_results/engine_wallclock.json`; override with
+/// `--json_out=PATH`). Returns a process exit code.
 int run_engine_wallclock_json(const util::Options& options,
-                              const BenchSetup& setup,
-                              const std::string& bench_name);
+                              const BenchSetup& setup);
 
 }  // namespace repro::benchx

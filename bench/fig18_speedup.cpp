@@ -29,8 +29,7 @@ int main(int argc, char** argv) {
   util::Options options(argc, argv);
   const auto setup = benchx::BenchSetup::from_options(options);
   if (options.has("json"))
-    return benchx::run_engine_wallclock_json(options, setup,
-                                             "fig18_speedup");
+    return benchx::run_engine_wallclock_json(options, setup);
   benchx::print_banner(
       "Figure 18: cuBLASTP speedup over FSA-BLAST / NCBI-BLAST(4T) / "
       "CUDA-BLASTP / GPU-BLASTP",

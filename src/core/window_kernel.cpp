@@ -38,6 +38,9 @@ template <class PosMap>
 WindowHalf window_extend_half(WarpExec& w, const DeviceScoring& scoring,
                               const std::uint8_t* residues, int window_size,
                               int xdrop, PosMap&& map) {
+  // window_size is a validated power of two: lane & mask is the lane's
+  // position within its window.
+  const int window_mask = window_size - 1;
   WindowHalf half;
   LaneArray<std::uint8_t> done{};
   LaneArray<std::uint32_t> round{};
@@ -55,7 +58,7 @@ WindowHalf window_extend_half(WarpExec& w, const DeviceScoring& scoring,
         w.vec([&](int lane) {
           offset[lane] = round[lane] * static_cast<std::uint32_t>(
                                            window_size) +
-                         static_cast<std::uint32_t>(lane % window_size);
+                         static_cast<std::uint32_t>(lane & window_mask);
           valid[lane] = map(lane, offset[lane], qp[lane], sidx[lane]) ? 1 : 0;
         });
 
@@ -88,7 +91,7 @@ WindowHalf window_extend_half(WarpExec& w, const DeviceScoring& scoring,
           const bool drop = best_up_to[lane] - prefix[lane] > xdrop;
           flag_key[lane] =
               drop ? static_cast<std::uint32_t>(
-                         window_size - lane % window_size)
+                         window_size - (lane & window_mask))
                    : 0u;
         });
         LaneArray<std::uint32_t> first_key = flag_key;
@@ -109,7 +112,7 @@ WindowHalf window_extend_half(WarpExec& w, const DeviceScoring& scoring,
         LaneArray<int> bounded{};
         w.vec([&](int lane) {
           bounded[lane] =
-              static_cast<std::uint32_t>(lane % window_size) <= limit[lane]
+              static_cast<std::uint32_t>(lane & window_mask) <= limit[lane]
                   ? best_up_to[lane]
                   : kNegInf;
         });
@@ -119,7 +122,7 @@ WindowHalf window_extend_half(WarpExec& w, const DeviceScoring& scoring,
         LaneArray<std::uint32_t> arg_key{};
         w.vec([&](int lane) {
           const bool attains =
-              static_cast<std::uint32_t>(lane % window_size) <=
+              static_cast<std::uint32_t>(lane & window_mask) <=
                   limit[lane] &&
               prefix[lane] == bounded[lane] &&
               bounded[lane] > carry_best[lane];
@@ -131,7 +134,7 @@ WindowHalf window_extend_half(WarpExec& w, const DeviceScoring& scoring,
         LaneArray<int> carry_key{};
         w.vec([&](int lane) {
           carry_key[lane] =
-              lane % window_size == window_size - 1 ? prefix[lane] : kNegInf;
+              (lane & window_mask) == window_size - 1 ? prefix[lane] : kNegInf;
         });
         w.window_reduce_max(carry_key, window_size);
 
@@ -313,7 +316,7 @@ void run_window_extension_kernel(simt::Engine& engine, const Config& config,
                           ext_reach[lane] =
                               static_cast<std::int32_t>(q_end[lane]) +
                               diag[lane];
-                          emit[lane] = (lane % ws == 0 &&
+                          emit[lane] = ((lane & (ws - 1)) == 0 &&
                                         total[lane] >= cutoff)
                                            ? 1
                                            : 0;

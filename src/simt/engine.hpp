@@ -62,29 +62,27 @@ class DeviceError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Execution context of one block.
+/// Execution context of one block. The shared arena belongs to the launch
+/// shard running the block; constructing the context re-arms it.
 class BlockCtx {
  public:
   BlockCtx(KernelStats& stats, ReadOnlyCache* rocache, int block_id,
-           int grid_blocks, int warps_per_block, std::size_t shared_capacity,
+           int grid_blocks, int warps_per_block, SharedMemory& shared,
            BlockChecker* check = nullptr)
       : stats_(&stats),
         rocache_(rocache),
         block_id_(block_id),
         grid_blocks_(grid_blocks),
         warps_per_block_(warps_per_block),
-        shared_(shared_capacity),
+        shared_(&shared),
         check_(check) {
-    if (check_ != nullptr) {
-      check_->attach_shared(shared_.base(), shared_.capacity());
-      shared_.set_checker(check_);
-    }
+    shared_->begin_block(check_);
   }
 
   [[nodiscard]] int block_id() const { return block_id_; }
   [[nodiscard]] int grid_blocks() const { return grid_blocks_; }
   [[nodiscard]] int warps_per_block() const { return warps_per_block_; }
-  [[nodiscard]] SharedMemory& shared() { return shared_; }
+  [[nodiscard]] SharedMemory& shared() { return *shared_; }
 
   /// Runs `region` for every warp of the block, then joins (barrier).
   /// With the hazard analyzer attached, each region is one barrier epoch
@@ -106,7 +104,7 @@ class BlockCtx {
   int block_id_;
   int grid_blocks_;
   int warps_per_block_;
-  SharedMemory shared_;
+  SharedMemory* shared_;
   BlockChecker* check_;
 };
 
@@ -179,8 +177,11 @@ class Engine {
       checker =
           std::make_unique<LaunchChecker>(config.name, config.grid_blocks);
 
+    // One shared-memory arena per shard; every BlockCtx re-arms it as if
+    // new (SharedMemory::begin_block).
     const int shards = shard_count(config.grid_blocks);
     if (shards <= 1) {
+      SharedMemory arena(spec_.shared_mem_per_block);
       for (int b = 0; b < config.grid_blocks; ++b) {
         if (cancel_flag_ != nullptr &&
             cancel_flag_->load(std::memory_order_acquire))
@@ -191,8 +192,7 @@ class Engine {
                 ? &sm_caches_[static_cast<std::size_t>(b % spec_.num_sms)]
                 : nullptr;
         BlockCtx block(stats, cache, b, config.grid_blocks, warps_per_block,
-                       spec_.shared_mem_per_block,
-                       checker ? &checker->block(b) : nullptr);
+                       arena, checker ? &checker->block(b) : nullptr);
         kernel(block);
         shared_high_water =
             std::max(shared_high_water, block.shared().high_water());
@@ -212,6 +212,7 @@ class Engine {
               shard_span.arg("shard", static_cast<std::uint64_t>(shard));
             }
             KernelStats& local = shard_stats[shard];
+            SharedMemory arena(spec_.shared_mem_per_block);
             std::size_t high = 0;
             for (int sm = static_cast<int>(shard); sm < spec_.num_sms;
                  sm += shards) {
@@ -221,7 +222,7 @@ class Engine {
                       : nullptr;
               for (int b = sm; b < config.grid_blocks; b += spec_.num_sms) {
                 BlockCtx block(local, cache, b, config.grid_blocks,
-                               warps_per_block, spec_.shared_mem_per_block,
+                               warps_per_block, arena,
                                checker ? &checker->block(b) : nullptr);
                 kernel(block);
                 high = std::max(high, block.shared().high_water());

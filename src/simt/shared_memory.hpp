@@ -4,6 +4,10 @@
 // high-water mark feeds the occupancy calculation, which is how the paper's
 // shared-memory/occupancy trade-offs (bins in Fig. 14, PSSM vs BLOSUM62 in
 // Fig. 15) become measurable here.
+//
+// One arena serves every block of a launch shard (engine.hpp): begin_block()
+// re-arms it, so a block pays for the bytes its predecessor used, not for
+// the whole per-block capacity.
 #pragma once
 
 #include <cstddef>
@@ -61,8 +65,21 @@ class SharedMemory {
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] const std::uint8_t* base() const { return base_; }
 
-  /// Attaches the hazard analyzer (nullptr detaches; see simtcheck.hpp).
-  void set_checker(BlockChecker* check) { check_ = check; }
+  /// Re-arms the arena for the next block, exactly as if it were new: every
+  /// byte reads zero, used() and high_water() restart at 0, and `check`
+  /// (nullptr = unchecked) becomes the attached analyzer (simtcheck.hpp).
+  /// alloc() never writes past the high-water mark, so only those bytes can
+  /// be dirty. A checked block may write out of bounds on purpose (the
+  /// memcheck test kernels do), so checked blocks start from a whole
+  /// cleared capacity; an arena never spans launches, so its blocks are
+  /// either all checked or all unchecked.
+  void begin_block(BlockChecker* check) {
+    std::memset(base_, 0, check != nullptr ? capacity_ : high_water_);
+    used_ = 0;
+    high_water_ = 0;
+    check_ = check;
+    if (check_ != nullptr) check_->attach_shared(base_, capacity_);
+  }
 
   /// Releases all allocations (block end); high-water survives.
   void reset() {

@@ -4,8 +4,8 @@
 // per-lane work goes through vec()/gather()/scatter()/atomic ops, control
 // flow through if_then()/loop_while(). The engine executes the 32 lanes of
 // a warp in lockstep (serially, with an active mask) and records, for every
-// warp-level step, how many lanes were active and how many 128-byte memory
-// transactions the lane addresses required. Divergence overhead and global
+// warp-level step, how many lanes were active and how many 32-byte memory
+// sectors the lane addresses required. Divergence overhead and global
 // load efficiency in the paper's Fig. 19 are computed from these traces —
 // measured from the same algorithmic behaviour as on real hardware, not
 // assumed.
@@ -141,7 +141,7 @@ class WarpExec {
 
   // --- global memory -------------------------------------------------------
   /// Gathers base[idx[lane]] for active lanes; counts one load request and
-  /// the distinct 128-byte segments it touches.
+  /// the distinct 32-byte sectors it touches.
   template <class T, class I>
   void gather(const T* base, const LaneArray<I>& idx, LaneArray<T>& out,
               MemKind kind = MemKind::kGlobal) {
@@ -257,6 +257,9 @@ class WarpExec {
   }
 
   // --- warp collectives ----------------------------------------------------
+  // `width` is a power of two in [1, 32] for every collective: windows tile
+  // the warp, and a lane's position in its window is lane & (width - 1).
+
   /// Inclusive plus-scan within fixed-width windows (CUB-style; the paper's
   /// window-based extension uses width 8). Charged log2(width) steps.
   template <class T>
@@ -268,7 +271,7 @@ class WarpExec {
       note_op();
       LaneArray<T> prev = vals;
       for_active([&](int lane) {
-        if (lane % width >= delta)
+        if ((lane & (width - 1)) >= delta)
           vals[static_cast<std::size_t>(lane)] +=
               prev[static_cast<std::size_t>(lane - delta)];
       });
@@ -287,7 +290,7 @@ class WarpExec {
       note_op();
       LaneArray<T> prev = vals;
       for_active([&](int lane) {
-        if (lane % width >= delta)
+        if ((lane & (width - 1)) >= delta)
           vals[static_cast<std::size_t>(lane)] =
               std::max(vals[static_cast<std::size_t>(lane)],
                        prev[static_cast<std::size_t>(lane - delta)]);
@@ -308,7 +311,8 @@ class WarpExec {
       note_op();
       LaneArray<T> prev = vals;
       for_active([&](int lane) {
-        const int peer = (lane % width < width - delta) ? lane + delta : lane;
+        const int peer =
+            (lane & (width - 1)) < width - delta ? lane + delta : lane;
         vals[static_cast<std::size_t>(lane)] =
             std::max(vals[static_cast<std::size_t>(lane)],
                      prev[static_cast<std::size_t>(peer)]);
@@ -325,7 +329,7 @@ class WarpExec {
     LaneArray<T> prev = vals;
     for_active([&](int lane) {
       vals[static_cast<std::size_t>(lane)] =
-          prev[static_cast<std::size_t>(lane - lane % width)];
+          prev[static_cast<std::size_t>(lane & ~(width - 1))];
     });
   }
 
@@ -337,7 +341,7 @@ class WarpExec {
     note_op();
     LaneArray<T> prev = vals;
     for_active([&](int lane) {
-      if (lane % width >= delta)
+      if ((lane & (width - 1)) >= delta)
         vals[static_cast<std::size_t>(lane)] =
             prev[static_cast<std::size_t>(lane - delta)];
     });
@@ -473,7 +477,9 @@ class WarpExec {
   BlockChecker* check_;
   Mask active_ = kFullMask;
 
-  std::array<std::uintptr_t, kWarpSize> segments_{};
+  // Left uninitialized: only [0, num_segments_) is ever read, and a WarpExec
+  // is built for every warp of every par() region.
+  std::array<std::uintptr_t, kWarpSize> segments_;
   int num_segments_ = 0;
 };
 

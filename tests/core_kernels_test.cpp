@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <map>
+#include <sstream>
+#include <string>
 
 #include "bio/generator.hpp"
 #include "bio/pssm.hpp"
@@ -298,6 +301,138 @@ TEST_P(WindowSizeKernelSweep, AllWindowSizesMatchScalar) {
 
 INSTANTIATE_TEST_SUITE_P(Widths, WindowSizeKernelSweep,
                          ::testing::Values(2, 4, 8, 16, 32));
+
+// Golden counters of the whole fine route (detection -> assemble -> sort ->
+// filter -> extension), per strategy and kernel. Only counters that do not
+// depend on host addresses are pinned: the shared arena's base is 16-byte
+// aligned, so a different base merely rotates bank indices and leaves the
+// conflict tallies alone, whereas global sectors and read-only-cache lines
+// (ld/st_transactions, rocache_*) and the modeled time derived from them
+// shift with heap placement. A simulator change that moves any of these
+// numbers changes what the cost model charges.
+using GoldenCounters = std::array<std::uint64_t, 12>;
+
+GoldenCounters golden_counters(const simt::KernelStats& s) {
+  return {s.num_blocks,
+          s.vec_ops,
+          s.active_lane_sum,
+          s.shared_ops,
+          s.shared_conflict_passes,
+          s.atomic_ops,
+          s.atomic_serial_passes,
+          s.ld_requests,
+          s.st_requests,
+          s.ld_bytes_requested,
+          s.st_bytes_requested,
+          static_cast<std::uint64_t>(s.shared_bytes)};
+}
+
+std::string golden_row(const std::string& key, const GoldenCounters& c) {
+  std::ostringstream out;
+  out << "{\"" << key << "\",\n     {";
+  for (std::size_t i = 0; i < c.size(); ++i)
+    out << (i == 0 ? "" : i == 6 ? ",\n      " : ", ") << c[i] << "u";
+  out << "}},";
+  return out.str();
+}
+
+struct GoldenRow {
+  const char* key;  ///< "<strategy>/<kernel>"
+  GoldenCounters counters;
+};
+
+// {num_blocks, vec_ops, active_lane_sum, shared_ops, shared_conflict_passes,
+//  atomic_ops, atomic_serial_passes, ld_requests, st_requests,
+//  ld_bytes_requested, st_bytes_requested, shared_bytes}
+const GoldenRow kFineRouteGolden[] = {
+    {"diagonal/bin_scan",
+     {9u, 918u, 26262u, 153u, 1089u, 0u,
+      0u, 66u, 42u, 8256u, 4164u, 528u}},
+    {"diagonal/hit_assemble",
+     {1024u, 15174u, 287936u, 0u, 0u, 0u,
+      0u, 977u, 977u, 35040u, 44592u, 0u}},
+    {"diagonal/hit_detection",
+     {2u, 13195u, 208718u, 1167u, 901u, 760u,
+      447u, 2583u, 792u, 88898u, 39136u, 3776u}},
+    {"diagonal/hit_filter",
+     {2048u, 26210u, 528382u, 0u, 0u, 0u,
+      0u, 2675u, 1142u, 74112u, 11468u, 0u}},
+    {"diagonal/hit_sort",
+     {1024u, 82536u, 1608904u, 17142u, 232u, 0u,
+      0u, 873u, 873u, 43760u, 43760u, 256u}},
+    {"diagonal/ungapped_extension",
+     {16u, 190859u, 706644u, 26159u, 3625u, 0u,
+      0u, 29243u, 24u, 255012u, 96u, 12800u}},
+    {"hit/bin_scan",
+     {9u, 918u, 26262u, 153u, 1089u, 0u,
+      0u, 66u, 42u, 8256u, 4164u, 528u}},
+    {"hit/hit_assemble",
+     {1024u, 15174u, 287936u, 0u, 0u, 0u,
+      0u, 977u, 977u, 35040u, 44592u, 0u}},
+    {"hit/hit_detection",
+     {2u, 13195u, 208718u, 1167u, 901u, 760u,
+      447u, 2583u, 792u, 88898u, 39136u, 3776u}},
+    {"hit/hit_filter",
+     {2048u, 26210u, 528382u, 0u, 0u, 0u,
+      0u, 2675u, 1142u, 74112u, 11468u, 0u}},
+    {"hit/hit_sort",
+     {1024u, 82536u, 1608904u, 17142u, 232u, 0u,
+      0u, 873u, 873u, 43760u, 43760u, 256u}},
+    {"hit/ungapped_extension",
+     {16u, 182725u, 765414u, 25288u, 4399u, 0u,
+      0u, 27001u, 3426u, 258728u, 24624u, 12800u}},
+    {"window/bin_scan",
+     {9u, 918u, 26262u, 153u, 1089u, 0u,
+      0u, 66u, 42u, 8256u, 4164u, 528u}},
+    {"window/hit_assemble",
+     {1024u, 15174u, 287936u, 0u, 0u, 0u,
+      0u, 977u, 977u, 35040u, 44592u, 0u}},
+    {"window/hit_detection",
+     {2u, 13195u, 208718u, 1167u, 901u, 760u,
+      447u, 2583u, 792u, 88898u, 39136u, 3776u}},
+    {"window/hit_filter",
+     {2048u, 26210u, 528382u, 0u, 0u, 0u,
+      0u, 2675u, 1142u, 74112u, 11468u, 0u}},
+    {"window/hit_sort",
+     {1024u, 82536u, 1608904u, 17142u, 232u, 0u,
+      0u, 873u, 873u, 43760u, 43760u, 256u}},
+    {"window/ungapped_extension",
+     {16u, 161344u, 2015322u, 8213u, 20016u, 0u,
+      0u, 11297u, 24u, 422654u, 96u, 12800u}},
+};
+
+TEST(FineRouteCounters, MatchGolden) {
+  PipelineFixture fx(200, 30, 353);
+  std::map<std::string, GoldenCounters> actual;
+  const std::pair<const char*, core::ExtensionStrategy> strategies[] = {
+      {"diagonal", core::ExtensionStrategy::kDiagonal},
+      {"hit", core::ExtensionStrategy::kHit},
+      {"window", core::ExtensionStrategy::kWindow}};
+  for (const auto& [label, strategy] : strategies) {
+    simt::Engine engine;
+    auto config = small_kernel_config();
+    config.strategy = strategy;
+    BinGrid bins(config.detection_warps(), config.num_bins_per_warp, 4096);
+    (void)core::launch_hit_detection(engine, config, fx.device_query,
+                                     fx.device_block, bins);
+    auto assembled = core::launch_assemble(engine, bins);
+    core::launch_sort(engine, assembled);
+    const auto filtered = core::launch_filter(engine, config, assembled);
+    (void)core::launch_extension(engine, config, fx.device_query,
+                                 fx.device_block, filtered);
+    for (const auto& [name, stats] : engine.profile().kernels())
+      actual[std::string(label) + "/" + name] = golden_counters(stats);
+  }
+
+  // On a mismatch the failure prints the actual table, ready to paste —
+  // but only re-record it for a change that is meant to move the counters.
+  std::map<std::string, GoldenCounters> expected;
+  for (const auto& row : kFineRouteGolden) expected[row.key] = row.counters;
+  std::string table;
+  for (const auto& [key, counters] : actual)
+    table += "    " + golden_row(key, counters) + "\n";
+  EXPECT_EQ(actual, expected) << "actual counters:\n" << table;
+}
 
 TEST(ExtensionKernels, LargeXdropStillMatches) {
   blast::SearchParams params;

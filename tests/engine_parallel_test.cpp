@@ -1,9 +1,13 @@
 // SM-sharded parallel engine: for any worker count, kernel results,
 // per-kernel KernelStats, and ProfileRegistry totals must be bit-identical
 // to serial execution (the invariant DESIGN.md's sharding section argues).
+// Every block of a shard runs on one re-armed shared arena; the SharedArena
+// tests pin that each block still sees a fresh one.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -192,6 +196,121 @@ TEST(EngineParallel, WorkerExceptionsPropagate) {
           ctx.par([&](simt::WarpExec& w) { w.vec([](int) {}); });
         });
     EXPECT_EQ(stats.num_blocks, 4u);
+  }
+}
+
+// Grid 40 over 13 SMs: every shard's arena serves several blocks in a row,
+// serially and at 4 workers alike.
+constexpr int kArenaGrid = 40;
+
+TEST(EngineParallel, SharedArenaIsZeroAtEveryBlockStart) {
+  for (const int workers : {1, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    simt::Engine engine;
+    engine.set_workers(workers);
+    std::vector<std::uint8_t> dirty_arena(kArenaGrid, 0);
+    std::vector<std::uint8_t> dirty_alloc(kArenaGrid, 0);
+    const auto kernel = [&](simt::BlockCtx& ctx) {
+      const int b = ctx.block_id();
+      auto& shared = ctx.shared();
+      // The whole arena reads zero before the block allocates anything...
+      dirty_arena[static_cast<std::size_t>(b)] =
+          std::any_of(shared.base(), shared.base() + shared.capacity(),
+                      [](std::uint8_t byte) { return byte != 0; });
+      // ...and so does the block's own allocation, whose size (and so the
+      // predecessor's dirty extent) varies from block to block.
+      auto region =
+          shared.alloc<std::uint32_t>(static_cast<std::size_t>(32 + b * 8));
+      // Read everything (one barrier epoch), then dirty it for the next
+      // block on this arena.
+      const auto sweep = [&](simt::WarpExec& w, bool write) {
+        LaneArray<std::uint32_t> idx{}, vals{};
+        for (std::size_t base = 0; base < region.size(); base += 32) {
+          w.vec([&](int lane) {
+            idx[lane] = static_cast<std::uint32_t>(
+                std::min(base + static_cast<std::size_t>(lane),
+                         region.size() - 1));
+            vals[lane] = 0xA5A5A5A5u ^ static_cast<std::uint32_t>(b);
+          });
+          if (write) {
+            w.sh_scatter<std::uint32_t, std::uint32_t>(region, idx, vals);
+          } else {
+            w.sh_gather<std::uint32_t, std::uint32_t>(region, idx, vals);
+            w.vec([&](int lane) {
+              if (vals[lane] != 0) dirty_alloc[static_cast<std::size_t>(b)] = 1;
+            });
+          }
+        }
+      };
+      ctx.par([&](simt::WarpExec& w) { sweep(w, false); });
+      ctx.par([&](simt::WarpExec& w) { sweep(w, true); });
+    };
+    engine.launch({"arena_zero", kArenaGrid, 64, 16}, kernel);
+    EXPECT_EQ(dirty_arena, std::vector<std::uint8_t>(kArenaGrid, 0));
+    EXPECT_EQ(dirty_alloc, std::vector<std::uint8_t>(kArenaGrid, 0));
+  }
+}
+
+TEST(EngineParallel, SharedArenaBytesAreTheLargestBlockHighWater) {
+  // Block 0 allocates the most, so every later block on its arena must see
+  // the high-water mark restart rather than inherit block 0's.
+  const auto bytes_of = [](int b) {
+    return static_cast<std::size_t>((kArenaGrid - b) * 24 + 8 * (b % 3));
+  };
+  for (const int workers : {1, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    simt::Engine engine;
+    engine.set_workers(workers);
+    std::vector<std::size_t> high(kArenaGrid, 0);
+    const auto stats = engine.launch(
+        {"arena_high_water", kArenaGrid, 64, 16}, [&](simt::BlockCtx& ctx) {
+          const int b = ctx.block_id();
+          (void)ctx.shared().alloc<std::uint8_t>(bytes_of(b) / 2);
+          ctx.shared().reset();
+          (void)ctx.shared().alloc<std::uint8_t>(bytes_of(b));
+          high[static_cast<std::size_t>(b)] = ctx.shared().high_water();
+        });
+    for (int b = 0; b < kArenaGrid; ++b)
+      EXPECT_EQ(high[static_cast<std::size_t>(b)], bytes_of(b)) << b;
+    EXPECT_EQ(stats.shared_bytes, bytes_of(0));
+    EXPECT_EQ(engine.profile().at("arena_high_water").shared_bytes,
+              bytes_of(0));
+  }
+}
+
+TEST(EngineParallel, SharedArenaInitcheckFlagsEveryLaterBlock) {
+  // Even blocks write their plain alloc before reading it (clean); odd
+  // blocks read it first. A reused arena must not carry a predecessor's
+  // definedness into the next block: every odd block is reported.
+  for (const int workers : {1, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    simt::Engine engine;
+    engine.set_simtcheck_enabled(true);
+    engine.set_workers(workers);
+    engine.launch(
+        {"arena_initcheck", kArenaGrid, 64, 16}, [](simt::BlockCtx& ctx) {
+          auto buf = ctx.shared().alloc<std::uint32_t>(32);
+          const bool write_first = ctx.block_id() % 2 == 0;
+          ctx.par([&](simt::WarpExec& w) {
+            if (w.warp_in_block() != 0) return;
+            LaneArray<std::uint32_t> idx{}, vals{};
+            w.vec([&](int lane) {
+              idx[lane] = static_cast<std::uint32_t>(lane);
+            });
+            if (write_first)
+              w.sh_scatter<std::uint32_t, std::uint32_t>(buf, idx, vals);
+            w.if_then([](int lane) { return lane == 0; }, [&] {
+              w.sh_gather(std::span<const std::uint32_t>(buf), idx, vals);
+            });
+          });
+        });
+    const auto& report = engine.hazards();
+    EXPECT_EQ(report.count(simt::HazardKind::kSharedUninitRead),
+              static_cast<std::uint64_t>(kArenaGrid / 2))
+        << report.summary();
+    EXPECT_EQ(report.total, static_cast<std::uint64_t>(kArenaGrid / 2));
+    for (const auto& rec : report.records)
+      EXPECT_EQ(rec.block % 2, 1) << rec.block;
   }
 }
 
