@@ -1,9 +1,11 @@
 // Batch throughput: the SearchSession generalization of the paper's
 // Fig. 12 overlap across queries. One session answers a stream of queries
-// against a resident database — the upload is paid once and query q+1's
-// GPU phases overlap query q's CPU gapped stage — versus the one-shot
-// CuBlastp::search path, which pays a fresh engine and a full database
-// upload per query.
+// against a resident database — the upload is paid once — versus the
+// one-shot CuBlastp::search path, which pays a fresh engine and a full
+// database upload per query. The cross-query overlap (query q+1's GPU
+// phases under query q's CPU gapped stage) is modeled only: the session
+// runs the queries one after another on the host, and the modeled batch
+// makespan walks their measured stage costs through the Fig. 12 pipeline.
 //
 //   ./batch_throughput [--swissprot=N] [--seed=S] [--quick]
 //                      [--json_out=PATH]

@@ -16,7 +16,7 @@
 // (0.5x, 1x, 2x, 4x capacity), offered and achieved qps, accept/reject
 // counts, and p50/p99 latency of completed requests.
 //
-// Also runs a shard-count sweep (K = 1, 2, 4 over a ShardedSession fleet,
+// Also runs a shard-count sweep (K = 1, 2, 4 over a SearchSession fleet,
 // DESIGN.md §17) and writes bench_results/shard_scaling.json (schema
 // cublastp.bench.v1, gated by scripts/check_bench_regression.py): per-K
 // alignment counts must be identical, and the modeled fleet batch
@@ -36,7 +36,6 @@
 #include "common.hpp"
 #include "core/search_session.hpp"
 #include "core/service.hpp"
-#include "core/sharded_session.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -55,8 +54,7 @@ double percentile(std::vector<double> values, double p) {
 /// milliseconds — pure cost-model output), and the two acceptance flags.
 /// Measured section: the fleet pipeline makespans, which fold
 /// host-measured CPU stage times and are machine-dependent.
-int run_shard_scaling(const repro::util::Options& options,
-                      const repro::benchx::BenchSetup& setup,
+int run_shard_scaling(const repro::benchx::BenchSetup& setup,
                       const std::string& out_path) {
   using namespace repro;
   using namespace repro::benchx;
@@ -78,7 +76,7 @@ int run_shard_scaling(const repro::util::Options& options,
   for (const std::size_t k : {1u, 2u, 4u}) {
     auto config = default_cublastp_config();
     config.shards = k;
-    core::ShardedSession fleet(config, w.db);
+    core::SearchSession fleet(config, w.db);
     const auto batch = fleet.search_batch(spans);
 
     std::uint64_t alignments = 0;
@@ -160,15 +158,14 @@ int main(int argc, char** argv) {
   print_banner("service_load",
                "not a paper figure: open-loop offered-load sweep against "
                "the SearchService admission queue (DESIGN.md §14) plus the "
-               "ShardedSession shard-count sweep (DESIGN.md §17)",
+               "SearchSession shard-count sweep (DESIGN.md §17)",
                setup);
 
   if (options.has("shards-only"))
     return run_shard_scaling(
-        options, setup,
-        options.get("json_out", "bench_results/shard_scaling.json"));
-  const int shard_exit = run_shard_scaling(
-      options, setup, "bench_results/shard_scaling.json");
+        setup, options.get("json_out", "bench_results/shard_scaling.json"));
+  const int shard_exit =
+      run_shard_scaling(setup, "bench_results/shard_scaling.json");
 
   const auto w = make_workload(setup, 127, /*env_nr=*/false);
   const core::Config config = default_cublastp_config();

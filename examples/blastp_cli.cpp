@@ -17,7 +17,7 @@
 // value voids the losslessness guarantee).
 //
 // Batch mode: --batch=queries.fasta (instead of --query) answers every
-// query through one core::ShardedSession::search_batch — the database is
+// query through one core::SearchSession::search_batch — the database is
 // uploaded once and each query is scattered across the --shards=K fleet.
 // --report-json then writes ONE cublastp.batch_report.v4 document instead
 // of an array of per-query reports.
@@ -89,7 +89,6 @@
 #include "core/cublastp.hpp"
 #include "core/search_session.hpp"
 #include "core/service.hpp"
-#include "core/sharded_session.hpp"
 #include "util/metrics.hpp"
 #include "util/options.hpp"
 #include "util/table.hpp"
@@ -384,9 +383,8 @@ int run(int argc, char** argv) {
 
   if (batch_mode || all_vs_all) {
     // One fleet session, one batch: each shard's database slice uploads
-    // once and every query is scattered across the --shards=K fleet
-    // (K=1 = the classic single-engine session).
-    core::ShardedSession session(config, db);
+    // once and every query is scattered across the --shards=K fleet.
+    core::SearchSession session(config, db);
     core::BatchReport batch;
     if (all_vs_all) {
       const auto limit = static_cast<std::size_t>(
@@ -436,10 +434,9 @@ int run(int argc, char** argv) {
     if (engine_name == "cublastp" && deadline_ms > 0.0)
       service.emplace(config, db);
     // With --profile or --shards>1 (and no service), queries go through
-    // one resident ShardedSession (K=1 behaves exactly like the old
-    // SearchSession) so the continuous profiler accumulates across the run
-    // and sharded queries scatter across the fleet.
-    std::optional<core::ShardedSession> session;
+    // one resident SearchSession so the continuous profiler accumulates
+    // across the run and the fleet's database slices upload once.
+    std::optional<core::SearchSession> session;
     if (engine_name == "cublastp" && !service.has_value() &&
         (!config.profile_path.empty() || config.shards > 1))
       session.emplace(config, db);

@@ -4,9 +4,10 @@
 // and-butter downstream use of BLASTP.
 //
 // The whole batch runs through one core::SearchSession::search_batch, so
-// the read collection is uploaded to the device once and each query's CPU
-// gapped stage overlaps the next query's GPU phases (the paper's Fig. 12
-// overlap, generalized across queries).
+// the read collection is uploaded to the device once; the batch report's
+// modeled makespan overlaps each query's CPU gapped stage with the next
+// query's GPU phases (the paper's Fig. 12 overlap, generalized across
+// queries).
 //
 //   ./protein_annotation [--reads=N] [--queries=N] [--threads=T]
 #include <cstdio>

@@ -43,7 +43,7 @@ struct KarlinParams {
 
 /// An explicit search space: the database statistics the effective-length
 /// adjustment is computed over. Normally derived from the database handed
-/// to the calculator, but a sharded search (core::ShardedSession) must pin
+/// to the calculator, but a sharded search (core::SearchSession at K > 1) must pin
 /// these to the *aggregate* fleet-wide values so every shard derives the
 /// same `min_significant_score` and pre-filter threshold regardless of
 /// which database slice it holds — merged results are then bit-identical

@@ -127,11 +127,11 @@ struct Config {
   int engine_workers = 1;
 
   /// Modeled GPUs in the scatter–gather fleet (DESIGN.md §17): a
-  /// core::ShardedSession partitions the database blocks contiguously
-  /// across this many core::EngineShard units, scatters each query to all
-  /// of them, and merges with aggregate Karlin–Altschul statistics.
-  /// 1 = today's single-engine layout (core::SearchSession is the K=1
-  /// special case). Clamped to the block count; any value yields results
+  /// core::SearchSession (and so CuBlastp) partitions the database blocks
+  /// contiguously across this many core::EngineShard units, scatters each
+  /// query to all of them, and merges with aggregate Karlin–Altschul
+  /// statistics. 1 = one engine owning every block, run on the calling
+  /// thread. Clamped to [1, block count]; any value yields results
   /// bit-identical to the single-engine search.
   std::size_t shards = 1;
 

@@ -12,10 +12,10 @@ CuBlastp::CuBlastp(Config config)
 
 SearchReport CuBlastp::search(std::span<const std::uint8_t> query,
                               const bio::SequenceDatabase& db) const {
-  // One-shot session: a fresh engine and a fresh database upload, exactly
-  // the pre-session behavior. Callers answering many queries against one
-  // database should hold a SearchSession instead (search_session.hpp) —
-  // it uploads the database once and can overlap queries.
+  // One-shot session: fresh engines and a fresh database upload. Callers
+  // answering many queries against one database should hold a
+  // SearchSession instead (search_session.hpp) — it uploads the database
+  // once.
   SearchSession session(config_, db);
   return session.search(query);
 }

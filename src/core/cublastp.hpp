@@ -19,9 +19,9 @@ namespace repro::core {
 /// One engine shard's contribution to a query (schema v4 "shards" section;
 /// DESIGN.md §17): which contiguous database-block slice it owned, which
 /// backend served each of its blocks, how far down the degradation ladder
-/// it went, and the modeled device milliseconds it ran. A single-engine
-/// SearchSession reports exactly one summary (shard 0, every block), so
-/// the section shape is identical at every fleet size.
+/// it went, and the modeled device milliseconds it ran. A one-shard
+/// session reports exactly one summary (shard 0, every block), so the
+/// section shape is identical at every fleet size.
 struct ShardSummary {
   std::uint32_t shard = 0;        ///< fleet index
   std::uint32_t first_block = 0;  ///< global index of its first block
@@ -138,10 +138,11 @@ struct SearchReport {
 };
 
 /// One-shot search entry point: each call builds a fresh one-query
-/// SearchSession (fresh engine, fresh database upload), so results and
-/// profiles are private to the call. For many queries against the same
-/// database, hold a core::SearchSession (search_session.hpp) instead — it
-/// keeps the database device-resident across queries and can batch them.
+/// SearchSession over Config::shards engine shards (fresh engines, fresh
+/// database upload), so results and profiles are private to the call. For
+/// many queries against the same database, hold a core::SearchSession
+/// (search_session.hpp) instead — it keeps the database device-resident
+/// across queries and can batch them.
 class CuBlastp {
  public:
   explicit CuBlastp(Config config);

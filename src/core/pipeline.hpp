@@ -12,8 +12,8 @@
 //   stage 5  finalize (rank, e-values)    run_finalize
 //   model    Fig. 12 overlap walk         walk_pipeline / walk_batch_pipeline
 //
-// A SearchSession (search_session.hpp) owns the long-lived state (engine,
-// residency) and threads the stages together; the stages themselves hold no
+// A SearchSession (search_session.hpp) owns the long-lived state (engine
+// shards, residency) and threads the stages together; the stages themselves hold no
 // hidden state beyond what their signatures say.
 #pragma once
 

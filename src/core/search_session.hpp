@@ -1,27 +1,47 @@
-// A long-lived search session: the engine and the device-resident database
-// survive across queries (DESIGN.md §12).
+// A long-lived search session over a scatter–gather fleet of EngineShards
+// (DESIGN.md §12, §17): the engines and the device-resident database
+// survive across queries.
 //
-// CuBlastp::search pays the full setup cost on every call — a fresh
-// simt::Engine and a full database upload over the modeled PCIe link. A
-// SearchSession is constructed once from a Config and a database, owns the
-// engine and the BlockResidency (each block uploaded exactly once, lazily,
-// inside the first search that touches it), and answers any number of
+// CuBlastp::search pays the full setup cost on every call — fresh engines
+// and a full database upload over the modeled PCIe link. A SearchSession is
+// constructed once from a Config and a database and answers any number of
 // queries against them:
 //
-//   core::SearchSession session(config, db);
+//   core::SearchSession session(config, db);     // config.shards = K
 //   auto r1 = session.search(query1);            // uploads the database
 //   auto r2 = session.search(query2);            // reuses the device image
-//   auto batch = session.search_batch(queries);  // cross-query overlap
+//   auto batch = session.search_batch(queries);
+//   auto all   = session.search_all_vs_all();    // every DB sequence as query
 //
-// search_batch additionally overlaps query q+1's GPU phases with query q's
-// CPU gapped/traceback stage (the paper's Fig. 12 overlap generalized
-// across queries): the engine-free CPU stage of each query drains on a
-// worker thread while the main thread drives the next query's kernels.
-// Results are bit-identical to sequential search() calls — same alignments,
-// same counters, same per-kernel work — whatever the worker count.
+// The database's block split is partitioned contiguously across K shards
+// (Config::shards), each owning its own simt::Engine and the device
+// residency of its slice (each block uploaded exactly once, lazily, inside
+// the first search that touches it). K = 1 is one shard owning every
+// block. A query's GPU half (upload, pre-filter, degradation ladder) is
+// scattered to every shard — on a fleet worker thread per shard at K > 1,
+// on the calling thread at K = 1 — and the per-shard results are gathered
+// back in shard order, which is global block order. The CPU half (gapped
+// extension + traceback) then runs block by block from the gathering
+// thread, each block on its own cpu_threads workers once the shard pool is
+// idle, because the host CPU is one shared resource however many modeled
+// GPUs the fleet has (and because its host-measured per-task costs feed
+// the pipeline model, which oversubscription would distort). Results are
+// bit-identical at every K and every worker count:
+//
+//   * Cutoffs, e-values, and the pre-filter threshold derive from one
+//     bio::EvalueCalculator built over the AGGREGATE search space
+//     (bio::SearchSpace: total residues + total sequences of the whole
+//     database), so every shard scores and filters identically.
+//   * Sequence indices stay global inside each shard's blocks, so
+//     extensions and alignments carry fleet-wide identities and the
+//     gather is pure concatenation.
+//   * Per-shard degradation (a failed pre-filter table, a faulted block
+//     falling to the CPU rung) never poisons siblings: the ladder absorbs
+//     the fault inside the owning shard and the merge just records it.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -32,13 +52,14 @@
 #include "core/cublastp.hpp"
 #include "core/pipeline.hpp"
 #include "core/shard.hpp"
-#include "simt/engine.hpp"
 #include "simt/simtprof.hpp"
+#include "util/svccheck.hpp"
+#include "util/thread_pool.hpp"
 
 namespace repro::core {
 
 namespace detail {
-struct QueryRun;  // per-query in-flight state (session_detail.hpp)
+struct QueryRun;  // per-query in-flight state (search_session.cpp)
 }  // namespace detail
 
 /// Aggregate result of SearchSession::search_batch: the per-query reports
@@ -48,12 +69,12 @@ struct BatchReport {
   std::vector<SearchReport> reports;  ///< one per query, in input order
 
   /// Wall seconds from each query's GPU-phase start to the end of its CPU
-  /// stage (overlap makes these overlap each other).
+  /// stage.
   std::vector<double> per_query_wall_seconds;
   double batch_wall_seconds = 0.0;  ///< whole-batch wall clock
 
   // Modeled pipeline (Fig. 12 generalized across queries; see
-  // walk_batch_pipeline): the batch makespan with cross-query overlap, and
+  // walk_batch_pipeline): the fleet makespan with cross-query overlap, and
   // what N independent one-shot sessions would model (each paying the full
   // database upload, no overlap between queries).
   double modeled_batch_seconds = 0.0;
@@ -96,8 +117,7 @@ struct BatchReport {
                : 0.0;
   }
 
-  /// Engine shards the fleet that produced this batch ran (1 for a
-  /// SearchSession; ShardedSession stamps its fleet size). Schema v4.
+  /// Engine shards in the fleet that produced this batch. Schema v4.
   std::size_t shards = 1;
 
   /// One machine-readable document for the whole batch (schema
@@ -110,7 +130,10 @@ struct BatchReport {
 class SearchSession {
  public:
   /// Validates and normalizes the config (same contract as CuBlastp's
-  /// constructor) and fixes the database block split. Nothing is uploaded
+  /// constructor), partitions the database's block split contiguously
+  /// across `config.shards` fleet units (clamped to [1, db_blocks]; shard s
+  /// owns blocks [s*B/K, (s+1)*B/K)), and builds one EngineShard per unit.
+  /// An empty database gets one shard owning no blocks. Nothing is uploaded
   /// yet: each block's H2D transfer happens inside the first search that
   /// touches it, so the cost lands in that search's trace and profile.
   SearchSession(Config config, const bio::SequenceDatabase& db);
@@ -118,55 +141,60 @@ class SearchSession {
   SearchSession(const SearchSession&) = delete;
   SearchSession& operator=(const SearchSession&) = delete;
 
-  /// One query against the resident database. Behaves exactly like
-  /// CuBlastp::search except that engine and database residency persist:
-  /// the first call uploads the database, later calls reuse it (their
-  /// reports carry no h2d_block time and a warm read-only cache).
+  /// One query, scattered to every shard and gathered in shard (= global
+  /// block) order. Engines and database residency persist: the first call
+  /// uploads the database, later calls reuse it (their reports carry no
+  /// h2d_block time and a warm read-only cache). The report carries one
+  /// ShardSummary per shard in its v4 `shards` section; a real fleet pays
+  /// the per-query h2d_query/h2d_prefilter uploads once per shard.
   ///
   /// `cancel` (empty by default) is polled cooperatively at every pipeline
-  /// stage boundary — before each block's degradation ladder, between the
-  /// ladder's rungs, before each block's CPU stage, and before
-  /// finalization — and its root flag is installed on the engine so an
-  /// in-flight launch skips its remaining shards. A stopped query throws
-  /// SearchError{kCancelled} or {kDeadlineExceeded}; device buffers unwind
-  /// through their RAII owners (nothing leaks), and the resident database
-  /// image stays valid for the next query. An empty token (or one that
-  /// never fires) leaves results bit-identical to the token-less call.
+  /// stage boundary — shard dispatch, before each block's degradation
+  /// ladder, between the ladder's rungs, the gather, before each block's
+  /// CPU stage, and before finalization — and its root flag is installed
+  /// on every shard engine so an in-flight launch skips its remaining
+  /// engine shards. A stopped query throws SearchError{kCancelled} or
+  /// {kDeadlineExceeded}; device buffers unwind through their RAII owners
+  /// (nothing leaks), and the resident database image stays valid for the
+  /// next query. An empty token (or one that never fires) leaves results
+  /// bit-identical to the token-less call.
   [[nodiscard]] SearchReport search(std::span<const std::uint8_t> query,
                                     const CancellationToken& cancel = {});
 
-  /// Many queries with cross-query overlap: query q's engine-free CPU
-  /// stage (gapped extension + traceback + finalize) runs on a worker
-  /// thread while the main thread drives query q+1's GPU phases. Per-query
-  /// results are bit-identical to sequential search() calls; the injected
-  /// fault schedule (Config::fault_schedule), if any, is installed once
-  /// around the whole batch.
+  /// Many queries in input order, each scattered across the fleet.
+  /// Per-query reports are bit-identical to sequential search() calls; the
+  /// injected fault schedule (Config::fault_schedule), if any, is installed
+  /// once around the whole batch. BatchReport::modeled_batch_seconds is the
+  /// modeled fleet makespan (the slowest shard's cross-query Fig. 12 walk).
   [[nodiscard]] BatchReport search_batch(
       std::span<const std::span<const std::uint8_t>> queries);
 
+  /// All-vs-all batch mode: every database sequence (the first `limit`
+  /// when nonzero) is searched as a query against the whole resident
+  /// database. Rides on search_batch — same reports.
+  [[nodiscard]] BatchReport search_all_vs_all(std::size_t limit = 0);
+
   [[nodiscard]] const Config& config() const { return config_; }
   [[nodiscard]] const bio::SequenceDatabase& db() const { return *db_; }
-  [[nodiscard]] const simt::Engine& engine() const { return shard_.engine(); }
+  [[nodiscard]] std::size_t num_shards() const { return shards_.size(); }
+  [[nodiscard]] const EngineShard& shard(std::size_t s) const {
+    return *shards_[s];
+  }
 
-  /// h2d_block bytes uploaded so far; after any fault-free search this
-  /// equals db_device_bytes() and never grows again.
-  [[nodiscard]] std::uint64_t resident_bytes() const {
-    return shard_.resident_bytes();
-  }
-  /// Block uploads so far (fault-free: exactly one per block, ever).
-  [[nodiscard]] std::uint64_t block_uploads() const {
-    return shard_.block_uploads();
-  }
+  /// Fleet-total h2d_block bytes uploaded so far; after any fault-free
+  /// search this equals db_device_bytes() and never grows again.
+  [[nodiscard]] std::uint64_t resident_bytes() const;
+  /// Fleet-total block uploads so far (fault-free: one per block, ever).
+  [[nodiscard]] std::uint64_t block_uploads() const;
   /// Size of the full database device image — what every one-shot search
-  /// pays on the modeled PCIe link before its first kernel.
-  [[nodiscard]] std::uint64_t db_device_bytes() const {
-    return shard_.db_device_bytes();
-  }
+  /// pays on the modeled PCIe link before its first kernel. The partition
+  /// covers every block exactly once, so this is independent of K.
+  [[nodiscard]] std::uint64_t db_device_bytes() const;
 
   /// The session's continuous profiler: every finished query's per-kernel
-  /// ProfileRegistry delta is folded in (always on — see DESIGN.md §16).
-  /// The service layer reads it for status snapshots; tests and the CLI
-  /// read it for the Fig. 19-style table.
+  /// ProfileRegistry delta, summed over shards, is folded in (always on —
+  /// see DESIGN.md §16). The service layer reads it for status snapshots;
+  /// tests and the CLI read it for the Fig. 19-style table.
   [[nodiscard]] const simt::prof::ContinuousProfiler& profiler() const {
     return profiler_;
   }
@@ -179,28 +207,28 @@ class SearchSession {
   /// Leakcheck over the whole session: appends one kDeviceLeak record per
   /// allocation site for every live, non-resident device allocation made
   /// since this session was constructed, and returns the leaked byte
-  /// count. The resident database image (DeviceResidentScope-tagged) is
-  /// exempt — outliving queries is its job. The service layer calls this
-  /// when idle; tests call it after a drain to assert zero.
+  /// count. The generation counter is process-global, so one scan covers
+  /// every shard. The resident database image (DeviceResidentScope-tagged)
+  /// is exempt — outliving queries is its job. The service layer calls
+  /// this when idle; tests call it after a drain to assert zero.
   std::uint64_t leak_check(simt::HazardReport& sink) const;
 
  private:
-  /// GPU half of one query: preparation, then the shard's h2d_query
-  /// upload and every block through the degradation ladder. Touches the
-  /// engine; must run on the session's main thread, one query at a time.
-  /// Polls the run's cancellation token at block boundaries.
-  void run_gpu_phases(std::span<const std::uint8_t> query,
-                      detail::QueryRun& run, std::size_t query_index);
-  /// CPU half: gapped extension + traceback per block, then finalize.
-  /// Engine-free and rerun-safe (outputs reset at entry), so the batch
-  /// path can run it on a worker thread and retry inline on failure.
-  void run_cpu_phases(detail::QueryRun& run);
+  /// Scatter + gather of one query into `run`: preparation, every shard's
+  /// GPU half, then the CPU half and finalization on the calling thread.
+  void run_query(std::span<const std::uint8_t> query, detail::QueryRun& run,
+                 std::size_t query_index);
 
   Config config_;
   const bio::SequenceDatabase* db_;
-  /// The session *is* the K=1 fleet: one shard owning every block
-  /// (DESIGN.md §17). Engine and residency live inside it.
-  EngineShard shard_;
+  std::vector<std::unique_ptr<EngineShard>> shards_;
+  /// K fleet workers ("shard"); null at K = 1, where the one shard runs on
+  /// the calling thread.
+  std::unique_ptr<util::ThreadPool> pool_;
+  /// Guards the gather slots while shard workers publish their results;
+  /// named in the svccheck lock-order graph so an inversion against the
+  /// service queue lock (core.service.queue) is caught (DESIGN.md §15).
+  mutable util::svc::CheckedMutex gather_mu_{"core.sharded.gather"};
   simt::prof::ContinuousProfiler profiler_;
   /// Device generation at construction: the floor for leak_check().
   std::uint64_t session_generation_ = 0;

@@ -1,8 +1,7 @@
-// SearchService: a long-running front-end around a ShardedSession fleet
+// SearchService: a long-running front-end around a SearchSession fleet
 // (DESIGN.md §14/§17) — admission control, priorities, deadlines,
 // cooperative cancellation, transient-fault retries, and a drain/shutdown
-// protocol. With one shard (the default) the owned fleet is exactly the
-// old single-engine SearchSession layout.
+// protocol.
 //
 // A session answers queries for whoever calls it; a SearchService
 // decides *whether* and *when* to answer. Requests enter a bounded
@@ -61,7 +60,6 @@
 #include "core/cancellation.hpp"
 #include "core/config.hpp"
 #include "core/search_session.hpp"
-#include "core/sharded_session.hpp"
 #include "simt/simtcheck.hpp"
 #include "util/svccheck.hpp"
 #include "util/trace.hpp"
@@ -362,9 +360,8 @@ class SearchService {
   /// spins on clock reads (deterministic); on the wall clock it sleeps.
   static void backoff_wait(double ms);
 
-  /// The owned scatter–gather fleet (one shard by default — exactly the
-  /// old single-engine session).
-  ShardedSession session_;
+  /// The owned scatter–gather fleet (one shard by default).
+  SearchSession session_;
   ServiceConfig service_config_;
 
   // CheckedMutex + condition_variable_any: plain mutex semantics plus

@@ -1,7 +1,7 @@
 // EngineShard: one modeled GPU's worth of the search fleet (DESIGN.md §17).
 //
-// A shard owns exactly the per-device state the single-engine SearchSession
-// used to hold inline — a simt::Engine, the device residency of its
+// A shard owns the per-device state of one fleet unit — a simt::Engine,
+// the device residency of its
 // contiguous database-block slice, and the per-query pre-filter device
 // table — and runs the GPU half of a query over its blocks: the h2d_query
 // upload, the per-query filter table, and every owned block through the
@@ -10,8 +10,8 @@
 // *aggregate* search space (bio::SearchSpace), which is what makes K
 // shards' merged results bit-identical to one engine's.
 //
-//   SearchSession  = one EngineShard covering every block (the K=1 case)
-//   ShardedSession = K EngineShards + scatter–gather (sharded_session.hpp)
+//   SearchSession = K EngineShards + scatter–gather (search_session.hpp);
+//                   K = 1 is one EngineShard covering every block
 #pragma once
 
 #include <cstdint>

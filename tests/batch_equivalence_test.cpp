@@ -14,6 +14,7 @@
 #include "core/cublastp.hpp"
 #include "core/search_session.hpp"
 #include "simt/metrics.hpp"
+#include "stats_equal.hpp"
 
 namespace repro {
 namespace {
@@ -44,6 +45,7 @@ core::Config base_config(int engine_workers = 1) {
   config.detection_blocks = 2;  // keep the simulated grid small for tests
   config.bin_capacity = 64;     // exercises the overflow-retry path too
   config.engine_workers = engine_workers;
+  config.shards = 1;  // the CuBlastp references are single-engine
   return config;
 }
 
@@ -51,28 +53,6 @@ std::vector<std::span<const std::uint8_t>> spans_of(const Workload& w) {
   std::vector<std::span<const std::uint8_t>> spans;
   for (const auto& q : w.queries) spans.emplace_back(q);
   return spans;
-}
-
-/// Address-independent KernelStats comparison (same carve-out as
-/// trace_test.cpp): rocache hits/misses, ld/st *transactions*, and the
-/// modeled time derived from them hash real heap addresses and differ
-/// between any two searches in one process, so they are excluded here too.
-void expect_stats_equal(const simt::KernelStats& a, const simt::KernelStats& b,
-                        const std::string& name) {
-  EXPECT_EQ(a.vec_ops, b.vec_ops) << name;
-  EXPECT_EQ(a.active_lane_sum, b.active_lane_sum) << name;
-  EXPECT_EQ(a.ld_requests, b.ld_requests) << name;
-  EXPECT_EQ(a.ld_bytes_requested, b.ld_bytes_requested) << name;
-  EXPECT_EQ(a.st_requests, b.st_requests) << name;
-  EXPECT_EQ(a.st_bytes_requested, b.st_bytes_requested) << name;
-  EXPECT_EQ(a.shared_ops, b.shared_ops) << name;
-  EXPECT_EQ(a.shared_conflict_passes, b.shared_conflict_passes) << name;
-  EXPECT_EQ(a.atomic_ops, b.atomic_ops) << name;
-  EXPECT_EQ(a.atomic_serial_passes, b.atomic_serial_passes) << name;
-  EXPECT_EQ(a.num_blocks, b.num_blocks) << name;
-  // shared_bytes is a high-water mark (max, not a sum), so a per-query
-  // snapshot diff carries the session-lifetime peak — skip it here.
-  EXPECT_EQ(a.occupancy, b.occupancy) << name;  // exact, not approximate
 }
 
 /// Everything a search reports except the database upload, which the
@@ -214,8 +194,9 @@ TEST(BatchResidency, DatabaseUploadedExactlyOncePerSession) {
 
   // The engine's own profile agrees: the h2d_block pseudo-kernel saw
   // exactly one database image's worth of bytes.
-  ASSERT_TRUE(session.engine().profile().has("h2d_block"));
-  EXPECT_EQ(session.engine().profile().at("h2d_block").st_bytes_requested,
+  const simt::ProfileRegistry& profile = session.shard(0).engine().profile();
+  ASSERT_TRUE(profile.has("h2d_block"));
+  EXPECT_EQ(profile.at("h2d_block").st_bytes_requested,
             session.db_device_bytes());
 
   // More work, same residency: a second batch and a single search reuse
@@ -226,7 +207,7 @@ TEST(BatchResidency, DatabaseUploadedExactlyOncePerSession) {
   EXPECT_EQ(again.h2d_block_uploads, 0u);
   EXPECT_EQ(session.block_uploads(), config.db_blocks);
   EXPECT_EQ(session.resident_bytes(), session.db_device_bytes());
-  EXPECT_EQ(session.engine().profile().at("h2d_block").st_bytes_requested,
+  EXPECT_EQ(profile.at("h2d_block").st_bytes_requested,
             session.db_device_bytes());
 }
 

@@ -363,6 +363,26 @@ TEST(CuBlastp, EmptyDatabase) {
   EXPECT_TRUE(report.result.alignments.empty());
 }
 
+TEST(CuBlastp, ShardsConfigScattersAcrossTheFleet) {
+  // The one-shot wrapper runs the same session as everyone else, so
+  // Config::shards takes effect: a four-shard search reports four shard
+  // summaries and the alignments of the one-shard search.
+  const auto w = make_workload(127, 60, 11);
+  auto one = base_config();
+  one.db_blocks = 4;
+  one.shards = 1;
+  auto four = one;
+  four.shards = 4;
+  const auto reference = core::CuBlastp(one).search(w.query, w.db);
+  const auto report = core::CuBlastp(four).search(w.query, w.db);
+  ASSERT_EQ(reference.shards.size(), 1u);
+  ASSERT_EQ(report.shards.size(), 4u);
+  EXPECT_FALSE(report.result.alignments.empty());
+  EXPECT_EQ(reference.result.alignments, report.result.alignments);
+  EXPECT_EQ(reference.result.counters.hits_detected,
+            report.result.counters.hits_detected);
+}
+
 TEST(CuBlastp, OneHitModeMatchesOneHitBaseline) {
   const auto w = make_workload(127, 40, 67);
   auto config = base_config();

@@ -21,6 +21,7 @@
 #include "util/fault.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
+#include "stats_equal.hpp"
 
 namespace repro {
 namespace {
@@ -48,23 +49,8 @@ core::Config base_config() {
   config.db_blocks = 3;
   config.detection_blocks = 2;
   config.bin_capacity = 64;
+  config.shards = 1;  // the direct-search references are single-engine
   return config;
-}
-
-/// Address-independent KernelStats comparison (same carve-outs as
-/// batch_equivalence_test.cpp: transactions, rocache hits/misses, and
-/// modeled time hash heap addresses and differ between any two searches).
-void expect_stats_equal(const simt::KernelStats& a, const simt::KernelStats& b,
-                        const std::string& name) {
-  EXPECT_EQ(a.vec_ops, b.vec_ops) << name;
-  EXPECT_EQ(a.active_lane_sum, b.active_lane_sum) << name;
-  EXPECT_EQ(a.ld_requests, b.ld_requests) << name;
-  EXPECT_EQ(a.ld_bytes_requested, b.ld_bytes_requested) << name;
-  EXPECT_EQ(a.st_requests, b.st_requests) << name;
-  EXPECT_EQ(a.st_bytes_requested, b.st_bytes_requested) << name;
-  EXPECT_EQ(a.shared_ops, b.shared_ops) << name;
-  EXPECT_EQ(a.atomic_ops, b.atomic_ops) << name;
-  EXPECT_EQ(a.num_blocks, b.num_blocks) << name;
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
-// ShardEquivalence: a ShardedSession fleet must report bit-identically to
-// the single-engine SearchSession for every shard count — same alignments
-// (scores, bit scores, e-values from the aggregate-search-space
-// calculator), same work counters, same per-block degradation and backend
-// vectors — across K ∈ {1, 2, 4}, engine worker counts, and every
-// pre-filter mode. Fault-injection cases pin the isolation story: one
-// shard degrades (to the CPU rung, or to the unfiltered path) while its
-// siblings stay fine-grained and the merged results do not change.
+// ShardEquivalence: a K-shard SearchSession fleet must report
+// bit-identically to a single-engine (shards = 1) SearchSession for every
+// shard count — same alignments (scores, bit scores, e-values from the
+// aggregate-search-space calculator), same work counters, same per-block
+// degradation and backend vectors — across K ∈ {1, 2, 4}, engine worker
+// counts, and every pre-filter mode. Fault-injection cases pin the
+// isolation story: one shard degrades (to the CPU rung, or to the
+// unfiltered path) while its siblings stay fine-grained and the merged
+// results do not change.
 //
 // Carve-outs mirror batch_equivalence_test.cpp: time-derived and
 // address-hashed stats are excluded, as are the h2d_query/h2d_prefilter
@@ -19,8 +20,9 @@
 
 #include "bio/generator.hpp"
 #include "core/search_session.hpp"
-#include "core/sharded_session.hpp"
+#include "core/service.hpp"
 #include "simt/metrics.hpp"
+#include "stats_equal.hpp"
 
 namespace repro {
 namespace {
@@ -66,26 +68,6 @@ std::vector<std::span<const std::uint8_t>> spans_of(const Workload& w) {
   std::vector<std::span<const std::uint8_t>> spans;
   for (const auto& q : w.queries) spans.emplace_back(q);
   return spans;
-}
-
-/// Address-independent KernelStats comparison (same carve-out as
-/// batch_equivalence_test.cpp): rocache hits/misses, ld/st transactions,
-/// the modeled time derived from them, and the shared_bytes high-water
-/// mark are excluded.
-void expect_stats_equal(const simt::KernelStats& a, const simt::KernelStats& b,
-                        const std::string& name) {
-  EXPECT_EQ(a.vec_ops, b.vec_ops) << name;
-  EXPECT_EQ(a.active_lane_sum, b.active_lane_sum) << name;
-  EXPECT_EQ(a.ld_requests, b.ld_requests) << name;
-  EXPECT_EQ(a.ld_bytes_requested, b.ld_bytes_requested) << name;
-  EXPECT_EQ(a.st_requests, b.st_requests) << name;
-  EXPECT_EQ(a.st_bytes_requested, b.st_bytes_requested) << name;
-  EXPECT_EQ(a.shared_ops, b.shared_ops) << name;
-  EXPECT_EQ(a.shared_conflict_passes, b.shared_conflict_passes) << name;
-  EXPECT_EQ(a.atomic_ops, b.atomic_ops) << name;
-  EXPECT_EQ(a.atomic_serial_passes, b.atomic_serial_passes) << name;
-  EXPECT_EQ(a.num_blocks, b.num_blocks) << name;
-  EXPECT_EQ(a.occupancy, b.occupancy) << name;  // exact, not approximate
 }
 
 bool per_shard_kernel(const std::string& name) {
@@ -182,7 +164,7 @@ TEST_P(ShardEquivalence, FleetSearchIdenticalToSingleEngine) {
 
   core::SearchSession single(base_config(1, c.engine_workers, c.prefilter),
                              w.db);
-  core::ShardedSession fleet(
+  core::SearchSession fleet(
       base_config(c.shards, c.engine_workers, c.prefilter), w.db);
   ASSERT_EQ(fleet.num_shards(), c.shards);
 
@@ -211,7 +193,7 @@ TEST_P(ShardEquivalence, FleetBatchIdenticalToSingleEngineBatch) {
 
   core::SearchSession single(base_config(1, c.engine_workers, c.prefilter),
                              w.db);
-  core::ShardedSession fleet(
+  core::SearchSession fleet(
       base_config(c.shards, c.engine_workers, c.prefilter), w.db);
 
   const auto baseline = single.search_batch(spans_of(w));
@@ -245,11 +227,34 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ShardTopology, ShardCountClampsToBlockCount) {
   const auto w = make_workload(40, 1);
   auto config = base_config(/*shards=*/16);
-  core::ShardedSession fleet(config, w.db);
+  core::SearchSession fleet(config, w.db);
   EXPECT_EQ(fleet.num_shards(), 4u);  // one block per shard at most
   const auto report = fleet.search(w.query);
   expect_shard_topology(report, 4, /*db_blocks=*/4);
   for (const auto& shard : report.shards) EXPECT_EQ(shard.num_blocks, 1u);
+}
+
+TEST(ShardTopology, EmptyDatabaseReturnsNoAlignments) {
+  // An empty database has no blocks to split; the fleet still keeps one
+  // (empty) shard, and every entry point answers with no alignments.
+  const auto w = make_workload(40, 1);
+  const bio::SequenceDatabase empty;
+  const std::vector<std::span<const std::uint8_t>> queries = {w.query};
+  for (const std::size_t shards : {1u, 4u}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    const auto config = base_config(shards);
+    core::SearchSession session(config, empty);
+    EXPECT_EQ(session.num_shards(), 1u);
+    EXPECT_TRUE(session.search(w.query).result.alignments.empty());
+    const auto batch = session.search_batch(queries);
+    ASSERT_EQ(batch.reports.size(), 1u);
+    EXPECT_TRUE(batch.reports[0].result.alignments.empty());
+
+    core::SearchService service(config, empty);
+    const auto result = service.search(w.query);
+    EXPECT_EQ(result.status, core::RequestStatus::kOk) << result.message;
+    EXPECT_TRUE(result.report.result.alignments.empty());
+  }
 }
 
 TEST(ShardEquivalenceFaults, OneShardFallsToCpuWhileSiblingsStayFine) {
@@ -260,11 +265,11 @@ TEST(ShardEquivalenceFaults, OneShardFallsToCpuWhileSiblingsStayFine) {
   const auto w = make_workload();
   auto config = base_config(/*shards=*/4);
   const auto clean =
-      core::ShardedSession(config, w.db).search(w.query);
+      core::SearchSession(config, w.db).search(w.query);
 
   config.fault_schedule = "simt.launch:every=1,max=2";
   config.fault_seed = 7;
-  core::ShardedSession fleet(config, w.db);
+  core::SearchSession fleet(config, w.db);
   const auto faulty = fleet.search(w.query);
 
   EXPECT_EQ(clean.result.alignments, faulty.result.alignments);
@@ -292,11 +297,11 @@ TEST(ShardEquivalenceFaults, PrefilterFaultDegradesOneBlockNotTheFleet) {
   const auto w = make_workload();
   auto config = base_config(/*shards=*/4, /*engine_workers=*/1,
                             core::PrefilterMode::kOn);
-  const auto clean = core::ShardedSession(config, w.db).search(w.query);
+  const auto clean = core::SearchSession(config, w.db).search(w.query);
 
   config.fault_schedule = "core.prefilter:nth=3";  // global block 2's filter
   config.fault_seed = 7;
-  core::ShardedSession fleet(config, w.db);
+  core::SearchSession fleet(config, w.db);
   const auto faulty = fleet.search(w.query);
 
   EXPECT_EQ(clean.result.alignments, faulty.result.alignments);
@@ -323,7 +328,7 @@ TEST(ShardEquivalenceHazards, AnalyzersFindNothingInShardedMode) {
   config.simtcheck = true;
   config.svccheck = true;
 
-  core::ShardedSession fleet(config, w.db);
+  core::SearchSession fleet(config, w.db);
   const auto report = fleet.search(w.query);
   EXPECT_EQ(report.hazards.total, 0u);
   EXPECT_GT(report.hazards.collectives_checked, 0u);
@@ -335,7 +340,7 @@ TEST(ShardEquivalenceHazards, AnalyzersFindNothingInShardedMode) {
 TEST(ShardAllVsAll, DelegatesToBatchWithDatabaseQueries) {
   const auto w = make_workload(24, 1);
   auto config = base_config(/*shards=*/2);
-  core::ShardedSession fleet(config, w.db);
+  core::SearchSession fleet(config, w.db);
 
   const auto all = fleet.search_all_vs_all(/*limit=*/3);
   ASSERT_EQ(all.reports.size(), 3u);

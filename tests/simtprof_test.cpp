@@ -34,6 +34,7 @@
 #include "util/metrics.hpp"
 #include "util/timer.hpp"
 #include "util/trace.hpp"
+#include "stats_equal.hpp"
 
 namespace repro {
 namespace {
@@ -281,22 +282,6 @@ std::filesystem::path test_dir(const std::string& name) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;
-}
-
-/// The address-independent KernelStats subset (same carve-outs as
-/// service_test.cpp: transactions, rocache hits/misses, and modeled time
-/// hash heap addresses and may differ between any two searches).
-void expect_stats_equal(const simt::KernelStats& a,
-                        const simt::KernelStats& b, const std::string& tag) {
-  EXPECT_EQ(a.vec_ops, b.vec_ops) << tag;
-  EXPECT_EQ(a.active_lane_sum, b.active_lane_sum) << tag;
-  EXPECT_EQ(a.ld_requests, b.ld_requests) << tag;
-  EXPECT_EQ(a.ld_bytes_requested, b.ld_bytes_requested) << tag;
-  EXPECT_EQ(a.st_requests, b.st_requests) << tag;
-  EXPECT_EQ(a.st_bytes_requested, b.st_bytes_requested) << tag;
-  EXPECT_EQ(a.shared_ops, b.shared_ops) << tag;
-  EXPECT_EQ(a.atomic_ops, b.atomic_ops) << tag;
-  EXPECT_EQ(a.num_blocks, b.num_blocks) << tag;
 }
 
 // ---------------------------------------------------------------------------

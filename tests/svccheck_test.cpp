@@ -169,14 +169,24 @@ core::Config checked_config(int workers = 1) {
 }
 
 TEST_F(SvcCheckService, SessionSearchPollsEveryRequiredCheckpoint) {
+  // K = 1 runs its one shard inline on the calling thread (a nested
+  // coverage scope); K = 4 scatters across the fleet pool. Both must poll
+  // every required checkpoint.
   const auto w = make_workload();
-  core::SearchSession session(checked_config(), w.db);
-  const auto report = session.search(w.queries[0]);
-  EXPECT_EQ(report.hazards.count(simt::HazardKind::kCheckpointGap), 0u)
-      << report.hazards.summary();
-  EXPECT_EQ(report.hazards.count(simt::HazardKind::kDeviceLeak), 0u)
-      << report.hazards.summary();
-  EXPECT_EQ(report.hazards.total, 0u) << report.hazards.summary();
+  for (const std::size_t shards : {1u, 4u}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    auto config = checked_config();
+    config.db_blocks = 4;  // one block per shard at K = 4
+    config.shards = shards;
+    core::SearchSession session(config, w.db);
+    ASSERT_EQ(session.num_shards(), shards);
+    const auto report = session.search(w.queries[0]);
+    EXPECT_EQ(report.hazards.count(simt::HazardKind::kCheckpointGap), 0u)
+        << report.hazards.summary();
+    EXPECT_EQ(report.hazards.count(simt::HazardKind::kDeviceLeak), 0u)
+        << report.hazards.summary();
+    EXPECT_EQ(report.hazards.total, 0u) << report.hazards.summary();
+  }
 }
 
 TEST_F(SvcCheckService, DrainedServiceReportsZeroHazards) {
