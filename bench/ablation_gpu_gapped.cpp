@@ -35,11 +35,8 @@ int main(int argc, char** argv) {
 
   // Seeds from the reference critical phases.
   std::vector<blast::UngappedExtension> seeds;
-  blast::TwoHitTracker tracker(w.query.size() + w.db.max_length() + 2);
-  for (std::size_t i = 0; i < w.db.size(); ++i)
-    blast::run_ungapped_phase(lookup, pssm, w.db.residues(i),
-                              static_cast<std::uint32_t>(i), params, tracker,
-                              seeds);
+  blast::run_ungapped_range(lookup, pssm, w.db, 0, w.db.size(), params,
+                            seeds);
   std::printf("seeds entering the gapped stage: %zu\n\n", seeds.size());
 
   // CPU exact affine extension (measured, 4-worker makespan).

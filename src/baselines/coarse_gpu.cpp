@@ -1,15 +1,15 @@
 #include "baselines/coarse_gpu.hpp"
 
-#include <algorithm>
-#include <numeric>
-#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "bio/karlin.hpp"
 #include "bio/pssm.hpp"
 #include "blast/results.hpp"
 #include "blast/wordlookup.hpp"
-#include "core/coarse_block.hpp"
+#include "core/config.hpp"
 #include "core/device_data.hpp"
+#include "core/pipeline.hpp"
 #include "simt/engine.hpp"
 #include "util/timer.hpp"
 #include "util/trace.hpp"
@@ -18,146 +18,77 @@ namespace repro::baselines {
 
 namespace {
 
-/// Translates the baseline config for the shared per-block kernel (the
-/// kernel itself moved to core/coarse_block.cpp so the adaptive pre-filter
-/// router can reuse it; behaviour here is unchanged).
-core::CoarseBlockConfig block_config(const CoarseConfig& config,
-                                     bool dynamic_queue) {
-  core::CoarseBlockConfig out;
-  out.params = config.params;
-  out.grid_blocks = config.grid_blocks;
-  out.block_threads = config.block_threads;
-  out.dynamic_queue = dynamic_queue;
-  return out;
-}
-
-}  // namespace
-
-CoarseSession::CoarseSession(const bio::SequenceDatabase& db,
-                             CoarseConfig config, bool sort_by_length,
-                             bool dynamic_queue)
-    : config_(config),
-      original_db_(&db),
-      dynamic_queue_(dynamic_queue),
-      db_(&db) {
-  // These baselines predate Kepler's read-only cache.
-  engine_.set_readonly_cache_enabled(false);
-  if (config_.simtcheck) engine_.set_simtcheck_enabled(true);
-
-  // CUDA-BLASTP sorts the database by descending length for load balance;
-  // keep the permutation so extensions map back to original ids. Built
-  // once per session; the cost is charged to the first search's "other"
-  // phase, where the one-shot wrappers used to account it.
-  if (sort_by_length && !db.empty()) {
-    util::Timer sort_timer;
-    std::vector<std::size_t> order(db.size());
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return db.length(a) > db.length(b);
-                     });
-    std::vector<bio::Sequence> seqs;
-    seqs.reserve(order.size());
-    to_original_.reserve(order.size());
-    for (const auto i : order) {
-      seqs.push_back(db.sequence(i));
-      to_original_.push_back(static_cast<std::uint32_t>(i));
-    }
-    sorted_storage_ = bio::SequenceDatabase(std::move(seqs));
-    db_ = &sorted_storage_;
-    sort_seconds_ = sort_timer.seconds();
-  }
-  blocks_ = db_->split_blocks(config_.db_blocks);
-  resident_.resize(blocks_.size());
-}
-
-const core::BlockDevice& CoarseSession::ensure_resident(std::size_t bi) {
-  if (!resident_[bi].has_value()) {
-    const auto [begin, end] = blocks_[bi];
-    resident_[bi].emplace(*db_, begin, end);
-    try {
-      engine_.transfer("h2d_block", resident_[bi]->h2d_bytes());
-    } catch (...) {
-      resident_[bi].reset();
-      throw;
-    }
-    uploaded_bytes_ += resident_[bi]->h2d_bytes();
-    ++uploads_;
-  }
-  return *resident_[bi];
-}
-
-CoarseReport CoarseSession::search(std::span<const std::uint8_t> query) {
+/// One search of either reproduction: `sort_by_length` is CUDA-BLASTP's
+/// load-balancing trick, `dynamic_queue` GPU-BLASTP's runtime work queue.
+CoarseReport coarse_search(std::span<const std::uint8_t> query,
+                           const bio::SequenceDatabase& db,
+                           const CoarseConfig& config, bool sort_by_length,
+                           bool dynamic_queue) {
   util::TraceSpan search_span(
-      dynamic_queue_ ? "gpu_blastp.search" : "cuda_blastp.search", "baseline");
+      dynamic_queue ? "gpu_blastp.search" : "cuda_blastp.search", "baseline");
   if (search_span.active()) {
     search_span.arg("query_length", static_cast<std::uint64_t>(query.size()));
-    search_span.arg("db_sequences",
-                    static_cast<std::uint64_t>(original_db_->size()));
+    search_span.arg("db_sequences", static_cast<std::uint64_t>(db.size()));
   }
   CoarseReport report;
-  const simt::ProfileRegistry profile_before = engine_.profile();
-  engine_.clear_hazards();
+  simt::Engine engine;
+  // These baselines predate Kepler's read-only cache.
+  engine.set_readonly_cache_enabled(false);
+  if (config.simtcheck) engine.set_simtcheck_enabled(true);
 
   util::Timer other_timer;
+  // CUDA-BLASTP scans a copy sorted by descending length; `to_original`
+  // maps its extensions back to original ids.
+  bio::SequenceDatabase sorted;
+  std::vector<std::uint32_t> to_original;
+  if (sort_by_length) sorted = db.sorted_by_length_desc(to_original);
+  const bio::SequenceDatabase& scanned = sort_by_length ? sorted : db;
   util::TraceSpan prep_span("query_prep", "baseline");
-  blast::WordLookup lookup(query, bio::Blosum62::instance(), config_.params);
+  blast::WordLookup lookup(query, bio::Blosum62::instance(), config.params);
   bio::Pssm pssm(query, bio::Blosum62::instance());
   bio::EvalueCalculator evalue(bio::blosum62_gapped_11_1(), query.size(),
-                               original_db_->total_residues(),
-                               original_db_->size());
+                               db.total_residues(), db.size());
   core::QueryDevice device_query(query, lookup, pssm);
   prep_span.end();
   report.other_seconds += other_timer.seconds();
-  if (first_search_) {
-    report.other_seconds += sort_seconds_;
-    first_search_ = false;
-  }
-  engine_.transfer("h2d_query", device_query.h2d_bytes());
+  engine.transfer("h2d_query", device_query.h2d_bytes());
 
-  const core::CoarseBlockConfig kernel_config =
-      block_config(config_, dynamic_queue_);
+  core::CoarseBlockConfig kernel_config;
+  kernel_config.params = config.params;
+  kernel_config.grid_blocks = config.grid_blocks;
+  kernel_config.block_threads = config.block_threads;
+  kernel_config.dynamic_queue = dynamic_queue;
+  core::BlockResidency residency(scanned,
+                                 scanned.split_blocks(config.db_blocks));
   std::vector<blast::UngappedExtension> extensions;
-  for (std::size_t bi = 0; bi < blocks_.size(); ++bi) {
-    const auto [begin, end] = blocks_[bi];
+  for (std::size_t bi = 0; bi < residency.num_blocks(); ++bi) {
     util::TraceSpan block_span;
     if (util::trace_enabled()) {
+      const auto [begin, end] = residency.range(bi);
       block_span.open("db_block " + std::to_string(bi), "baseline");
       block_span.arg("first_seq", static_cast<std::uint64_t>(begin));
       block_span.arg("end_seq", static_cast<std::uint64_t>(end));
     }
-    const core::BlockDevice& device_block = ensure_resident(bi);
-
-    std::uint32_t capacity = config_.block_output_capacity;
-    for (;;) {
-      core::CoarseBlockOutput out = core::run_coarse_block(
-          engine_, kernel_config, device_query, device_block, capacity);
-      if (!out.overflowed) {
-        engine_.transfer("d2h_extensions", out.d2h_bytes);
-        report.result.counters.hits_detected += out.hits_detected;
-        for (auto& ext : out.extensions) {
-          ext.seq += device_block.first_seq;
-          if (!to_original_.empty()) ext.seq = to_original_[ext.seq];
-          extensions.push_back(ext);
-        }
-        break;
-      }
-      ++report.output_overflow_retries;
-      capacity *= 2;
+    core::CoarseBlockOutput out = core::run_coarse_block(
+        engine, kernel_config, device_query, residency.ensure(engine, bi),
+        config.block_output_capacity, core::Config{}.max_bin_retries,
+        report.output_overflow_retries);
+    report.result.counters.hits_detected += out.hits_detected;
+    for (auto& ext : out.extensions) {
+      if (sort_by_length) ext.seq = to_original[ext.seq];
+      extensions.push_back(ext);
     }
-
-    for (std::size_t s = begin; s < end; ++s)
-      if (db_->length(s) >= 3)
-        report.result.counters.words_scanned += db_->length(s) - 2;
   }
 
+  const auto word_length = static_cast<std::size_t>(config.params.word_length);
+  for (std::size_t s = 0; s < db.size(); ++s)
+    if (db.length(s) >= word_length)
+      report.result.counters.words_scanned += db.length(s) - word_length + 1;
   report.result.counters.ungapped_extensions = extensions.size();
 
-  // CPU phases: single-threaded, not overlapped (neither baseline
-  // pipelines CPU work against the GPU).
   util::TraceSpan gapped_span("gapped_stage", "baseline");
-  auto stage = blast::process_gapped_stage(pssm, *original_db_, extensions,
-                                           config_.params, evalue);
+  auto stage = blast::process_gapped_stage(pssm, db, extensions,
+                                           config.params, evalue);
   gapped_span.end();
   report.gapped_seconds = stage.gapped_seconds;
   report.traceback_seconds = stage.traceback_seconds;
@@ -168,13 +99,13 @@ CoarseReport CoarseSession::search(std::span<const std::uint8_t> query) {
     util::TraceSpan finalize_span("finalize", "baseline");
     util::ScopedAccumulator finalize_time(report.other_seconds);
     report.result.alignments = std::move(stage.alignments);
-    blast::finalize_results(report.result.alignments, config_.params, evalue);
+    blast::finalize_results(report.result.alignments, config.params, evalue);
   }
 
-  // Attribute only this query's launches and transfers: the engine is
-  // shared across the session's searches.
-  report.profile = engine_.profile().diff(profile_before);
-  report.hazards = engine_.hazards();
+  // The diff against an empty registry drops no-work rows (an empty D2H
+  // copy), matching what the session reports per query.
+  report.profile = engine.profile().diff(simt::ProfileRegistry{});
+  report.hazards = engine.hazards();
   report.kernel_ms = report.profile.has(kCoarseKernel)
                          ? report.profile.at(kCoarseKernel).time_ms
                          : 0.0;
@@ -196,20 +127,20 @@ CoarseReport CoarseSession::search(std::span<const std::uint8_t> query) {
   return report;
 }
 
+}  // namespace
+
 CoarseReport cuda_blastp_search(std::span<const std::uint8_t> query,
                                 const bio::SequenceDatabase& db,
                                 const CoarseConfig& config) {
-  CoarseSession session(db, config, /*sort_by_length=*/true,
-                        /*dynamic_queue=*/false);
-  return session.search(query);
+  return coarse_search(query, db, config, /*sort_by_length=*/true,
+                       /*dynamic_queue=*/false);
 }
 
 CoarseReport gpu_blastp_search(std::span<const std::uint8_t> query,
                                const bio::SequenceDatabase& db,
                                const CoarseConfig& config) {
-  CoarseSession session(db, config, /*sort_by_length=*/false,
-                        /*dynamic_queue=*/true);
-  return session.search(query);
+  return coarse_search(query, db, config, /*sort_by_length=*/false,
+                       /*dynamic_queue=*/true);
 }
 
 }  // namespace repro::baselines

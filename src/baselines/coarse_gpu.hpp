@@ -17,16 +17,11 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
-#include <utility>
-#include <vector>
 
 #include "bio/database.hpp"
 #include "blast/types.hpp"
 #include "core/coarse_block.hpp"
-#include "core/device_data.hpp"
-#include "simt/engine.hpp"
 #include "simt/metrics.hpp"
 #include "simt/simtcheck.hpp"
 
@@ -36,7 +31,9 @@ struct CoarseConfig {
   blast::SearchParams params;
   int grid_blocks = 8;
   int block_threads = 128;
-  /// Per-block output-buffer capacity (extensions); grows on overflow.
+  /// Per-block output-buffer capacity (extensions); doubles on overflow,
+  /// at most core::Config{}.max_bin_retries times (then SearchError
+  /// kBinOverflowExhausted).
   std::uint32_t block_output_capacity = 4096;
   /// Database blocks (transfers modeled per block, no CPU/GPU overlap —
   /// neither baseline pipelines the way cuBLASTP does).
@@ -68,55 +65,9 @@ struct CoarseReport {
 /// both callers share one profile row.
 inline constexpr const char* kCoarseKernel = core::kKernelCoarse;
 
-/// Long-lived baseline session — the coarse-grained counterpart of
-/// core::SearchSession, so throughput comparisons against the session API
-/// stay apples-to-apples: the engine, the (optionally length-sorted)
-/// database view, and the device-resident blocks persist across queries,
-/// and each block is uploaded exactly once, lazily, by the first search
-/// that touches it. Per-query reports attribute only that query's kernel
-/// launches and transfers (profile snapshot diff).
-class CoarseSession {
- public:
-  /// `sort_by_length` is CUDA-BLASTP's load-balancing trick (the sorted
-  /// copy is built once here, amortized like the residency);
-  /// `dynamic_queue` is GPU-BLASTP's runtime work queue.
-  CoarseSession(const bio::SequenceDatabase& db, CoarseConfig config,
-                bool sort_by_length, bool dynamic_queue);
-
-  CoarseSession(const CoarseSession&) = delete;
-  CoarseSession& operator=(const CoarseSession&) = delete;
-
-  [[nodiscard]] CoarseReport search(std::span<const std::uint8_t> query);
-
-  [[nodiscard]] const CoarseConfig& config() const { return config_; }
-  /// h2d_block bytes uploaded so far (fault-free: the full image, once).
-  [[nodiscard]] std::uint64_t resident_bytes() const {
-    return uploaded_bytes_;
-  }
-  [[nodiscard]] std::uint64_t block_uploads() const { return uploads_; }
-
- private:
-  const core::BlockDevice& ensure_resident(std::size_t bi);
-
-  CoarseConfig config_;
-  const bio::SequenceDatabase* original_db_;
-  bool dynamic_queue_;
-
-  // CUDA-BLASTP's sorted view (empty permutation when sorting is off).
-  bio::SequenceDatabase sorted_storage_;
-  const bio::SequenceDatabase* db_;  ///< the view kernels scan
-  std::vector<std::uint32_t> to_original_;
-  double sort_seconds_ = 0.0;  ///< one-time view build, charged to the
-                               ///< first search's "other" phase
-
-  simt::Engine engine_;
-  std::vector<std::pair<std::size_t, std::size_t>> blocks_;
-  std::vector<std::optional<core::BlockDevice>> resident_;
-  std::uint64_t uploaded_bytes_ = 0;
-  std::uint64_t uploads_ = 0;
-  bool first_search_ = true;
-};
-
+/// Each call is one search on a fresh engine: the database blocks are
+/// uploaded, the fused kernel runs block by block, and the CPU phases run
+/// single-threaded after it (neither baseline pipelines).
 [[nodiscard]] CoarseReport cuda_blastp_search(
     std::span<const std::uint8_t> query, const bio::SequenceDatabase& db,
     const CoarseConfig& config);

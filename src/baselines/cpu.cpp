@@ -50,16 +50,12 @@ blast::SearchResult fsa_blast_search(std::span<const std::uint8_t> query,
   std::vector<blast::UngappedExtension> extensions;
   {
     util::ScopedAccumulator critical(result.timings.hit_detection);
-    blast::TwoHitTracker tracker(query.size() + db.max_length() + 2);
-    for (std::size_t i = 0; i < db.size(); ++i) {
-      const auto counters = blast::run_ungapped_phase(
-          prepared.lookup, prepared.pssm, db.residues(i),
-          static_cast<std::uint32_t>(i), params, tracker, extensions);
-      result.counters.words_scanned += counters.words_scanned;
-      result.counters.hits_detected += counters.hits;
-      result.counters.hits_after_filter += counters.extensions_run;
-      result.counters.ungapped_extensions += counters.extensions_run;
-    }
+    const auto counters = blast::run_ungapped_range(
+        prepared.lookup, prepared.pssm, db, 0, db.size(), params, extensions);
+    result.counters.words_scanned = counters.words_scanned;
+    result.counters.hits_detected = counters.hits;
+    result.counters.hits_after_filter = counters.extensions_run;
+    result.counters.ungapped_extensions = counters.extensions_run;
   }
 
   // Gapped extension + alignment with traceback.
@@ -94,7 +90,7 @@ blast::SearchResult ncbi_mt_search(std::span<const std::uint8_t> query,
 
   struct ChunkOutput {
     std::vector<blast::UngappedExtension> extensions;
-    blast::SearchCounters counters;
+    blast::UngappedPhaseCounters counters;
     double critical_seconds = 0.0;
   };
   std::vector<ChunkOutput> outputs(chunks.size());
@@ -105,16 +101,9 @@ blast::SearchResult ncbi_mt_search(std::span<const std::uint8_t> query,
     // CPU time, not wall time: with more workers than cores, wall-clock
     // would charge each chunk for its neighbours' time slices.
     util::ThreadCpuTimer timer;
-    blast::TwoHitTracker tracker(query.size() + db.max_length() + 2);
-    for (std::size_t i = chunks[c].first; i < chunks[c].second; ++i) {
-      const auto counters = blast::run_ungapped_phase(
-          prepared.lookup, prepared.pssm, db.residues(i),
-          static_cast<std::uint32_t>(i), params, tracker, out.extensions);
-      out.counters.words_scanned += counters.words_scanned;
-      out.counters.hits_detected += counters.hits;
-      out.counters.hits_after_filter += counters.extensions_run;
-      out.counters.ungapped_extensions += counters.extensions_run;
-    }
+    out.counters = blast::run_ungapped_range(
+        prepared.lookup, prepared.pssm, db, chunks[c].first, chunks[c].second,
+        params, out.extensions);
     out.critical_seconds = timer.seconds();
   });
 
@@ -125,9 +114,9 @@ blast::SearchResult ncbi_mt_search(std::span<const std::uint8_t> query,
     extensions.insert(extensions.end(), out.extensions.begin(),
                       out.extensions.end());
     result.counters.words_scanned += out.counters.words_scanned;
-    result.counters.hits_detected += out.counters.hits_detected;
-    result.counters.hits_after_filter += out.counters.hits_after_filter;
-    result.counters.ungapped_extensions += out.counters.ungapped_extensions;
+    result.counters.hits_detected += out.counters.hits;
+    result.counters.hits_after_filter += out.counters.extensions_run;
+    result.counters.ungapped_extensions += out.counters.extensions_run;
     chunk_costs.push_back(out.critical_seconds);
   }
   // Phase time = T-worker makespan of the measured chunk costs.

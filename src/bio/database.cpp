@@ -31,16 +31,17 @@ Sequence SequenceDatabase::sequence(std::size_t i) const {
   return Sequence{ids_[i], descriptions_[i], {span.begin(), span.end()}};
 }
 
-SequenceDatabase SequenceDatabase::sorted_by_length_desc() const {
-  std::vector<std::size_t> order(size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [this](std::size_t a, std::size_t b) {
+SequenceDatabase SequenceDatabase::sorted_by_length_desc(
+    std::vector<std::uint32_t>& to_original) const {
+  to_original.resize(size());
+  std::iota(to_original.begin(), to_original.end(), 0u);
+  std::stable_sort(to_original.begin(), to_original.end(),
+                   [this](std::uint32_t a, std::uint32_t b) {
                      return length(a) > length(b);
                    });
   std::vector<Sequence> seqs;
   seqs.reserve(size());
-  for (const auto i : order) seqs.push_back(sequence(i));
+  for (const auto i : to_original) seqs.push_back(sequence(i));
   return SequenceDatabase(std::move(seqs));
 }
 

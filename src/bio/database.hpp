@@ -55,8 +55,11 @@ class SequenceDatabase {
   [[nodiscard]] Sequence sequence(std::size_t i) const;
 
   /// A new database containing the same sequences ordered by descending
-  /// length — the load-balancing preprocessing step CUDA-BLASTP applies.
-  [[nodiscard]] SequenceDatabase sorted_by_length_desc() const;
+  /// length (stable) — the load-balancing preprocessing step CUDA-BLASTP
+  /// applies. Fills `to_original[k]` with the index in this database of
+  /// sorted sequence k, so results map back to original ids.
+  [[nodiscard]] SequenceDatabase sorted_by_length_desc(
+      std::vector<std::uint32_t>& to_original) const;
 
   /// Splits the database into `blocks` contiguous chunks of roughly equal
   /// residue volume; returns [start, end) sequence-index pairs. Used by the

@@ -76,8 +76,6 @@ class EvalueCalculator {
   [[nodiscard]] int min_significant_score(double max_evalue) const;
 
   [[nodiscard]] const KarlinParams& params() const { return params_; }
-  [[nodiscard]] double effective_query_length() const { return eff_m_; }
-  [[nodiscard]] double effective_db_length() const { return eff_n_; }
 
  private:
   KarlinParams params_;

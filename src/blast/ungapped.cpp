@@ -124,4 +124,17 @@ UngappedPhaseCounters run_ungapped_phase(
   return counters;
 }
 
+UngappedPhaseCounters run_ungapped_range(
+    const WordLookup& lookup, const bio::Pssm& pssm,
+    const bio::SequenceDatabase& db, std::size_t begin, std::size_t end,
+    const SearchParams& params, std::vector<UngappedExtension>& out) {
+  UngappedPhaseCounters total;
+  TwoHitTracker tracker(pssm.query_length() + db.max_length() + 2);
+  for (std::size_t i = begin; i < end; ++i)
+    total += run_ungapped_phase(lookup, pssm, db.residues(i),
+                                static_cast<std::uint32_t>(i), params,
+                                tracker, out);
+  return total;
+}
+
 }  // namespace repro::blast

@@ -22,6 +22,7 @@
 #include <span>
 #include <vector>
 
+#include "bio/database.hpp"
 #include "bio/pssm.hpp"
 #include "blast/types.hpp"
 
@@ -74,6 +75,13 @@ struct UngappedPhaseCounters {
   std::uint64_t words_scanned = 0;
   std::uint64_t hits = 0;
   std::uint64_t extensions_run = 0;
+
+  UngappedPhaseCounters& operator+=(const UngappedPhaseCounters& other) {
+    words_scanned += other.words_scanned;
+    hits += other.hits;
+    extensions_run += other.extensions_run;
+    return *this;
+  }
 };
 
 class WordLookup;  // seeding.hpp provides the scan
@@ -83,5 +91,13 @@ UngappedPhaseCounters run_ungapped_phase(
     std::span<const std::uint8_t> subject, std::uint32_t seq_index,
     const SearchParams& params, TwoHitTracker& tracker,
     std::vector<UngappedExtension>& out);
+
+/// run_ungapped_phase over database sequences [begin, end) with one tracker
+/// sized for the query and the database's longest sequence. Extensions
+/// carry database sequence indices; the counters are summed over the range.
+UngappedPhaseCounters run_ungapped_range(
+    const WordLookup& lookup, const bio::Pssm& pssm,
+    const bio::SequenceDatabase& db, std::size_t begin, std::size_t end,
+    const SearchParams& params, std::vector<UngappedExtension>& out);
 
 }  // namespace repro::blast

@@ -86,13 +86,9 @@ WordLookup::WordLookup(std::span<const std::uint8_t> query,
     positions_[cursor[word_idx]++] = pos;
 }
 
-Dfa::Dfa(const WordLookup& lookup)
-    : lookup_(&lookup),
-      num_states_(0) {
+Dfa::Dfa(const WordLookup& lookup) : lookup_(&lookup) {
   if (lookup.word_length() != 3)
     throw std::invalid_argument("Dfa requires word_length == 3");
-  num_states_ = static_cast<std::uint32_t>(bio::kAlphabetSize) *
-                bio::kAlphabetSize;
 }
 
 }  // namespace repro::blast

@@ -80,9 +80,6 @@ class Dfa {
  public:
   explicit Dfa(const WordLookup& lookup);
 
-  /// Number of states: kAlphabetSize^(W-1).
-  [[nodiscard]] std::uint32_t num_states() const { return num_states_; }
-
   /// Transition: feed the next subject letter.
   [[nodiscard]] std::uint16_t next_state(std::uint16_t state,
                                          std::uint8_t letter) const {
@@ -98,20 +95,12 @@ class Dfa {
                               letter);
   }
 
-  /// Bytes of the state-transition structure — the shared-memory resident
-  /// part in the paper's hierarchical buffering.
-  [[nodiscard]] std::size_t state_table_bytes() const {
-    return static_cast<std::size_t>(num_states_) * bio::kAlphabetSize *
-           sizeof(std::uint32_t);
-  }
-
   [[nodiscard]] const WordLookup& lookup() const { return *lookup_; }
 
  private:
   static constexpr std::uint32_t kPrefixStride = bio::kAlphabetSize;
 
   const WordLookup* lookup_;
-  std::uint32_t num_states_;
 };
 
 }  // namespace repro::blast

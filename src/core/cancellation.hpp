@@ -89,9 +89,6 @@ class CancellationToken {
  public:
   CancellationToken() = default;
 
-  /// True when this token can ever request a stop (non-empty).
-  [[nodiscard]] bool stop_possible() const { return state_ != nullptr; }
-
   /// True when cancel() was called on this token's source or any linked
   /// ancestor's. Never reads the clock.
   [[nodiscard]] bool cancel_requested() const {

@@ -1,8 +1,14 @@
 #include "core/coarse_block.hpp"
 
+#include <optional>
+#include <string>
+#include <utility>
+
 #include "bio/alphabet.hpp"
+#include "core/errors.hpp"
 #include "core/lane_extend.hpp"
 #include "core/scoring.hpp"
+#include "util/trace.hpp"
 
 namespace repro::core {
 
@@ -38,13 +44,14 @@ struct CoarseRecords {
         capacity(cap) {}
 };
 
-}  // namespace
-
-CoarseBlockOutput run_coarse_block(simt::Engine& engine,
-                                   const CoarseBlockConfig& config,
-                                   const QueryDevice& query,
-                                   const BlockDevice& block,
-                                   std::uint32_t output_capacity) {
+/// One launch of the fused kernel with a fixed per-grid-block output
+/// capacity; nullopt when the output overflowed (the partial output is
+/// discarded).
+std::optional<CoarseBlockOutput> launch_coarse(simt::Engine& engine,
+                                               const CoarseBlockConfig& config,
+                                               const QueryDevice& query,
+                                               const BlockDevice& block,
+                                               std::uint32_t output_capacity) {
   const auto& params = config.params;
   const std::uint32_t qlen = query.query_length;
   const auto window = static_cast<std::uint32_t>(params.two_hit_window);
@@ -326,11 +333,10 @@ CoarseBlockOutput run_coarse_block(simt::Engine& engine,
         block_cursor[0];
   });
 
+  if (records.overflow[0] != 0) return std::nullopt;
   CoarseBlockOutput out;
   out.hits_detected = hits_detected.load(std::memory_order_relaxed);
   out.extensions_run = extensions_run.load(std::memory_order_relaxed);
-  out.overflowed = records.overflow[0] != 0;
-  if (out.overflowed) return out;
   for (int b = 0; b < config.grid_blocks; ++b) {
     const std::uint32_t n = records.counts[static_cast<std::size_t>(b)];
     for (std::uint32_t r = 0; r < n; ++r) {
@@ -351,6 +357,39 @@ CoarseBlockOutput run_coarse_block(simt::Engine& engine,
     }
   }
   return out;
+}
+
+}  // namespace
+
+CoarseBlockOutput run_coarse_block(simt::Engine& engine,
+                                   const CoarseBlockConfig& config,
+                                   const QueryDevice& query,
+                                   const BlockDevice& block,
+                                   std::uint32_t initial_capacity,
+                                   int max_retries,
+                                   std::uint64_t& overflow_retries) {
+  std::uint32_t capacity = initial_capacity;
+  for (int retry = 0;; ++retry) {
+    std::optional<CoarseBlockOutput> out =
+        launch_coarse(engine, config, query, block, capacity);
+    if (out.has_value()) {
+      engine.transfer("d2h_extensions", out->d2h_bytes);
+      for (auto& ext : out->extensions) ext.seq += block.first_seq;
+      return std::move(*out);
+    }
+    ++overflow_retries;
+    if (util::trace_enabled())
+      util::trace_instant(
+          "coarse_output_retry", "degrade",
+          {util::targ("retry", retry),
+           util::targ("capacity", static_cast<std::uint64_t>(capacity))});
+    if (retry >= max_retries)
+      throw SearchError(SearchErrorCode::kBinOverflowExhausted,
+                        "coarse output overflow persisted after " +
+                            std::to_string(max_retries) +
+                            " capacity retries");
+    capacity *= 2;
+  }
 }
 
 }  // namespace repro::core

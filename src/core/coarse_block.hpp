@@ -1,10 +1,10 @@
 // The fused coarse kernel (paper §3.1 / Algorithm 1) as a reusable
 // per-block unit: one lane = one subject sequence, hit detection + two-hit
 // logic + inline ungapped extension run to completion in a single launch.
-// Historically this lived inside the coarse baselines; it moved here so the
-// adaptive pre-filter router (DESIGN.md §13) can serve dense database
-// blocks with it, while `baselines::CoarseSession` keeps calling the same
-// code for the CUDA-BLASTP / GPU-BLASTP reproductions.
+// Two callers share it, kernel and output-growth policy alike: the adaptive
+// pre-filter router (DESIGN.md §13) serves dense database blocks with it,
+// and the CUDA-BLASTP / GPU-BLASTP reproductions (baselines/coarse_gpu.hpp)
+// run every block through it.
 #pragma once
 
 #include <atomic>
@@ -31,21 +31,24 @@ struct CoarseBlockConfig {
 };
 
 struct CoarseBlockOutput {
-  /// Qualifying extensions (score >= ungapped_cutoff), seq ids block-local.
+  /// Qualifying extensions (score >= ungapped_cutoff), database seq ids.
   std::vector<blast::UngappedExtension> extensions;
   std::uint64_t d2h_bytes = 0;
   std::uint64_t hits_detected = 0;
   std::uint64_t extensions_run = 0;  ///< two-hit triggers (extension calls)
-  bool overflowed = false;           ///< output capacity exhausted; retry
 };
 
-/// Runs the fused kernel over one resident block with a fixed per-grid-block
-/// output capacity. On overflow the partial output is discarded and
-/// `overflowed` is set; callers own the grow-and-retry policy.
-[[nodiscard]] CoarseBlockOutput run_coarse_block(simt::Engine& engine,
-                                                 const CoarseBlockConfig& config,
-                                                 const QueryDevice& query,
-                                                 const BlockDevice& block,
-                                                 std::uint32_t output_capacity);
+/// Runs the fused kernel over one resident block with bounded output
+/// growth. The per-grid-block output capacity starts at `initial_capacity`;
+/// an overflowing launch discards its output, bumps `overflow_retries` and
+/// re-runs at double the capacity, at most `max_retries` times, after which
+/// it throws SearchError{kBinOverflowExhausted}. On success the D2H copy
+/// ("d2h_extensions") is priced and extension seq ids are made global
+/// (block.first_seq added).
+[[nodiscard]] CoarseBlockOutput run_coarse_block(
+    simt::Engine& engine, const CoarseBlockConfig& config,
+    const QueryDevice& query, const BlockDevice& block,
+    std::uint32_t initial_capacity, int max_retries,
+    std::uint64_t& overflow_retries);
 
 }  // namespace repro::core

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 
 #include "blast/types.hpp"
@@ -180,5 +181,14 @@ struct Config {
     return detection_blocks * detection_block_threads / 32;
   }
 };
+
+/// An output path setting (Config::trace_path, ServiceConfig's paths, ...)
+/// falling back to its environment toggle when unset; empty when neither is.
+[[nodiscard]] inline std::string path_or_env(const std::string& configured,
+                                             const char* env_name) {
+  if (!configured.empty()) return configured;
+  if (const char* env = std::getenv(env_name)) return env;
+  return {};
+}
 
 }  // namespace repro::core

@@ -29,13 +29,6 @@ struct QueryDevice {
               const blast::WordLookup& lookup, const bio::Pssm& host_pssm);
 
   [[nodiscard]] std::uint64_t h2d_bytes() const;
-
-  /// Bytes of the shared-memory-resident "DFA state" structure (the
-  /// presence bitmap) — the fixed small part of the paper's hierarchical
-  /// buffering (§3.5, Fig. 10).
-  [[nodiscard]] std::size_t presence_bytes() const {
-    return presence_bitmap.size() * sizeof(std::uint32_t);
-  }
 };
 
 /// Per-residue best-score table for the SSV-style pre-filter (DESIGN.md

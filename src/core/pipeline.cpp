@@ -264,43 +264,24 @@ BlockOutcome run_block_on_coarse(simt::Engine& engine, const Config& config,
   // dynamic ticket queue hands out sequences in claim order).
   coarse.dynamic_queue = false;
 
-  std::uint32_t capacity = 4096;
-  for (int retry = 0;; ++retry) {
-    CoarseBlockOutput kernel_out =
-        run_coarse_block(engine, coarse, query, device_block, capacity);
-    if (!kernel_out.overflowed) {
-      engine.transfer("d2h_extensions", kernel_out.d2h_bytes);
-      BlockOutcome out;
-      out.hits_detected = kernel_out.hits_detected;
-      // The fused kernel has no separate filter/extension stages: every
-      // two-hit trigger runs an inline extension, matching the CPU
-      // fallback's counter semantics.
-      out.hits_after_filter = kernel_out.extensions_run;
-      out.ungapped_extensions = kernel_out.extensions_run;
-      out.extensions = std::move(kernel_out.extensions);
-      for (auto& ext : out.extensions) ext.seq += device_block.first_seq;
-      return out;
-    }
-    ++overflow_retries;
-    if (util::trace_enabled())
-      util::trace_instant(
-          "coarse_output_retry", "degrade",
-          {util::targ("retry", retry),
-           util::targ("capacity", static_cast<std::uint64_t>(capacity))});
-    if (retry >= config.max_bin_retries)
-      throw SearchError(
-          SearchErrorCode::kBinOverflowExhausted,
-          "coarse output overflow persisted after " +
-              std::to_string(config.max_bin_retries) + " capacity retries");
-    capacity *= 2;
-  }
+  CoarseBlockOutput kernel_out = run_coarse_block(
+      engine, coarse, query, device_block, /*initial_capacity=*/4096,
+      config.max_bin_retries, overflow_retries);
+  BlockOutcome out;
+  out.hits_detected = kernel_out.hits_detected;
+  // The fused kernel has no separate filter/extension stages: every
+  // two-hit trigger runs an inline extension, matching the CPU
+  // fallback's counter semantics.
+  out.hits_after_filter = kernel_out.extensions_run;
+  out.ungapped_extensions = kernel_out.extensions_run;
+  out.extensions = std::move(kernel_out.extensions);
+  return out;
 }
 
 BlockOutcome run_block_on_cpu(const blast::WordLookup& lookup,
                               const bio::Pssm& pssm,
                               const bio::SequenceDatabase& db,
                               std::size_t begin, std::size_t end,
-                              std::size_t query_length,
                               const blast::SearchParams& params) {
   // "core.cpu_fallback" lets chaos tests exhaust the whole ladder.
   util::fault_point_throw("core.cpu_fallback");
@@ -311,15 +292,11 @@ BlockOutcome run_block_on_cpu(const blast::WordLookup& lookup,
   }
   BlockOutcome out;
   util::Timer timer;
-  blast::TwoHitTracker tracker(query_length + db.max_length() + 2);
-  for (std::size_t i = begin; i < end; ++i) {
-    const auto counters = blast::run_ungapped_phase(
-        lookup, pssm, db.residues(i), static_cast<std::uint32_t>(i), params,
-        tracker, out.extensions);
-    out.hits_detected += counters.hits;
-    out.hits_after_filter += counters.extensions_run;
-    out.ungapped_extensions += counters.extensions_run;
-  }
+  const auto counters = blast::run_ungapped_range(lookup, pssm, db, begin, end,
+                                                  params, out.extensions);
+  out.hits_detected = counters.hits;
+  out.hits_after_filter = counters.extensions_run;
+  out.ungapped_extensions = counters.extensions_run;
   out.cpu_fallback_seconds = timer.seconds();
   return out;
 }
@@ -463,7 +440,7 @@ BlockLadderResult run_block_ladder(simt::Engine& engine, const Config& config,
     const auto [begin, end] = residency.range(bi);
     try {
       outcome = run_block_on_cpu(ctx.lookup, ctx.pssm, db, begin, end,
-                                 ctx.query.size(), config.params);
+                                 config.params);
     } catch (const std::exception& e) {
       throw SearchError(
           SearchErrorCode::kDegradationExhausted,

@@ -124,7 +124,6 @@ struct BlockOutcome {
                                             const bio::Pssm& pssm,
                                             const bio::SequenceDatabase& db,
                                             std::size_t begin, std::size_t end,
-                                            std::size_t query_length,
                                             const blast::SearchParams& params);
 
 /// Stage 3 result: the block outcome plus what the ladder did to get it.

@@ -1,7 +1,6 @@
 #include "core/search_session.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -103,14 +102,6 @@ void append_checkpoint_gaps(const util::svc::CheckpointScope& scope,
   if (has_blocks) append(per_block);
 }
 
-/// Config::trace_path / Config::metrics_path / Config::profile_path fall
-/// back to the matching environment toggle when unset.
-std::string path_or_env(const std::string& configured, const char* env_name) {
-  if (!configured.empty()) return configured;
-  if (const char* env = std::getenv(env_name)) return env;
-  return {};
-}
-
 /// The scopes every search or batch runs inside: the injected fault
 /// schedule (Config::fault_schedule) and the observability session
 /// (Config::trace_path, else REPRO_TRACE). If an outer owner (the CLI, the
@@ -138,21 +129,6 @@ void scan_leaks(const EngineShard& shard, std::uint64_t generation,
                 simt::HazardReport& sink) {
   if (shard.engine().simtcheck_enabled())
     simt::device_leak_check(sink, generation);
-}
-
-/// Writes the process metrics registry to Config::metrics_path (or
-/// REPRO_METRICS); no-op when neither is set.
-void export_metrics_if_configured(const Config& config) {
-  const std::string metrics_path =
-      path_or_env(config.metrics_path, "REPRO_METRICS");
-  if (metrics_path.empty()) return;
-  try {
-    util::metrics::Registry::instance().write_file(metrics_path);
-  } catch (const std::invalid_argument& e) {
-    // The util layer cannot name SearchError (layering); translate here so
-    // a typo'd --metrics path surfaces through the core error taxonomy.
-    throw SearchError(SearchErrorCode::kInvalidArgument, e.what());
-  }
 }
 
 /// Assembles the SearchReport (profile delta, pipeline walk, timings,
@@ -294,6 +270,19 @@ std::uint64_t SearchSession::db_device_bytes() const {
 
 std::uint64_t SearchSession::leak_check(simt::HazardReport& sink) const {
   return simt::device_leak_check(sink, session_generation_);
+}
+
+void SearchSession::export_metrics() const {
+  const std::string metrics_path =
+      path_or_env(config_.metrics_path, "REPRO_METRICS");
+  if (metrics_path.empty()) return;
+  try {
+    util::metrics::Registry::instance().write_file(metrics_path);
+  } catch (const std::invalid_argument& e) {
+    // The util layer cannot name SearchError (layering); translate here so
+    // a typo'd --metrics path surfaces through the core error taxonomy.
+    throw SearchError(SearchErrorCode::kInvalidArgument, e.what());
+  }
 }
 
 void SearchSession::export_profile() const {
@@ -527,7 +516,7 @@ SearchReport SearchSession::search(std::span<const std::uint8_t> query,
                            kMainPerBlockCheckpoints,
                            shards_[0]->num_blocks() > 0, report.hazards);
 
-  export_metrics_if_configured(config_);
+  export_metrics();
   export_profile();
   return report;
 }
@@ -651,7 +640,7 @@ BatchReport SearchSession::search_batch(
   registry.counter("core.batch_queries").add(queries.size());
   registry.histogram("core.batch_wall_seconds")
       .observe(batch.batch_wall_seconds);
-  export_metrics_if_configured(config_);
+  export_metrics();
   export_profile();
   return batch;
 }

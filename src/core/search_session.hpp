@@ -204,6 +204,11 @@ class SearchSession {
   /// An unrecognized extension throws SearchError{kInvalidArgument}.
   void export_profile() const;
 
+  /// Writes the process metrics registry to Config::metrics_path (or
+  /// REPRO_METRICS); no-op when neither is set. An unrecognized extension
+  /// throws SearchError{kInvalidArgument}.
+  void export_metrics() const;
+
   /// Leakcheck over the whole session: appends one kDeviceLeak record per
   /// allocation site for every live, non-resident device allocation made
   /// since this session was constructed, and returns the leaked byte

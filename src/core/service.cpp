@@ -8,7 +8,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <filesystem>
 #include <fstream>
@@ -30,19 +29,6 @@
 namespace repro::core {
 
 namespace {
-
-std::string config_path_or_env(const std::string& configured,
-                               const char* env) {
-  if (!configured.empty()) return configured;
-  const char* value = std::getenv(env);
-  return value != nullptr ? std::string(value) : std::string();
-}
-
-/// Maps a terminal RequestStatus onto the metrics/trace vocabulary and the
-/// SearchReport::status field (shared spelling with report.cpp's v3 docs).
-const char* report_status_label(RequestStatus s) {
-  return request_status_name(s);
-}
 
 /// ServiceConfig::shards (when positive) overrides Config::shards before
 /// the fleet is built — the service-level knob wins over the engine-level
@@ -72,7 +58,7 @@ SearchService::SearchService(Config config, const bio::SequenceDatabase& db,
   // lands on one timeline (TraceSession is passive when an outer owner —
   // e.g. the CLI — already started one).
   const std::string trace_path =
-      config_path_or_env(session_.config().trace_path, "REPRO_TRACE");
+      path_or_env(session_.config().trace_path, "REPRO_TRACE");
   if (!trace_path.empty())
     trace_session_ = std::make_unique<util::TraceSession>(trace_path);
 
@@ -88,7 +74,7 @@ SearchService::SearchService(Config config, const bio::SequenceDatabase& db,
   }
 
   // Structured JSONL event log (util/log.hpp).
-  const std::string event_log_path = config_path_or_env(
+  const std::string event_log_path = path_or_env(
       service_config_.event_log_path, "REPRO_EVENT_LOG");
   if (!event_log_path.empty()) {
     util::log::open(event_log_path);
@@ -145,7 +131,7 @@ std::future<ServiceResult> SearchService::submit(SearchRequest request) {
     result.status = RequestStatus::kFailed;
     result.error_code = e.code();
     result.message = e.what();
-    result.report.status = report_status_label(result.status);
+    result.report.status = request_status_name(result.status);
     registry.counter("service.submitted").add(1);
     registry.counter("service.failed").add(1);
     promise.set_value(std::move(result));
@@ -219,7 +205,7 @@ std::future<ServiceResult> SearchService::submit(SearchRequest request) {
   result.status = RequestStatus::kRejected;
   result.error_code = SearchErrorCode::kRejected;
   result.message = reject_reason;
-  result.report.status = report_status_label(result.status);
+  result.report.status = request_status_name(result.status);
   pending->promise.set_value(std::move(result));
   return future;
 }
@@ -268,11 +254,8 @@ void SearchService::drain() {
     // Flush failures (bad extension, unwritable path) must not abort the
     // drain — it runs from the destructor — so report and keep flushing
     // the remaining surfaces.
-    const std::string metrics_path = config_path_or_env(
-        session_.config().metrics_path, "REPRO_METRICS");
     try {
-      if (!metrics_path.empty())
-        util::metrics::Registry::instance().write_file(metrics_path);
+      session_.export_metrics();
     } catch (const std::exception& e) {
       std::fprintf(stderr, "drain: metrics flush failed: %s\n", e.what());
     }
@@ -319,7 +302,7 @@ void SearchService::shutdown() {
     result.status = RequestStatus::kCancelled;
     result.error_code = SearchErrorCode::kShutdown;
     result.message = "service shut down before the request ran";
-    result.report.status = report_status_label(result.status);
+    result.report.status = request_status_name(result.status);
     pending->promise.set_value(std::move(result));
   }
 }
@@ -617,7 +600,7 @@ void SearchService::run_one(Pending& pending) {
     // Completed requests carry the session-stamped status ("ok" /
     // "degraded"); everything else gets the service's terminal label so
     // report.to_json() still says what happened.
-    if (!counted_completed) result.report.status = report_status_label(status);
+    if (!counted_completed) result.report.status = request_status_name(status);
 
     // SLO accounting + tail-based flight retention: the dump decision can
     // only be made here, after the outcome and wall time are known.

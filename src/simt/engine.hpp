@@ -117,9 +117,6 @@ class Engine {
 
   /// Enables/disables the read-only cache model (paper Fig. 17 toggle).
   void set_readonly_cache_enabled(bool enabled);
-  [[nodiscard]] bool readonly_cache_enabled() const {
-    return rocache_enabled_;
-  }
 
   /// Sets the number of host worker threads used to execute blocks.
   /// Clamped to [1, num_sms] — SMs are the sharding unit, so more workers
@@ -153,9 +150,6 @@ class Engine {
   /// layer installs the active request's flag around each query so
   /// service-side cancellation reaches shard granularity.
   void set_cancel_flag(const std::atomic<bool>* flag) { cancel_flag_ = flag; }
-  [[nodiscard]] const std::atomic<bool>* cancel_flag() const {
-    return cancel_flag_;
-  }
 
   /// Launches a kernel and returns its measured stats (time filled in by
   /// the cost model, occupancy from the launch shape and the shared-memory

@@ -23,8 +23,6 @@ class ReadOnlyCache {
 
   void clear();
 
-  [[nodiscard]] std::size_t num_lines() const { return tags_.size(); }
-
  private:
   std::size_t line_shift_;
   std::vector<std::uintptr_t> tags_;  ///< 0 = empty

@@ -63,9 +63,6 @@ class WarpExec {
 
   [[nodiscard]] Mask active_mask() const { return active_; }
   [[nodiscard]] int active_lanes() const { return std::popcount(active_); }
-  [[nodiscard]] bool lane_active(int lane) const {
-    return (active_ >> lane) & 1u;
-  }
 
   // --- instruction issue ---------------------------------------------------
   /// One warp-level ALU step: f(lane) runs for every active lane.

@@ -12,8 +12,9 @@ namespace repro::util::svc {
 namespace {
 
 /// Name-keyed lock-order graph shared by every CheckedMutex. Guarded by its
-/// own plain std::mutex — the graph lock is a leaf (nothing is acquired
-/// under it), so it cannot itself create an inversion.
+/// own plain std::mutex. The only lock ever taken under it is
+/// SvcHazardLog's (CheckedMutex::lock() records an inversion while holding
+/// it), so every path that holds both takes the graph lock first.
 struct LockGraph {
   std::mutex mu;
   /// edges[a] contains b  <=>  some thread acquired b while holding a.
@@ -100,13 +101,14 @@ std::uint64_t SvcHazardLog::total() const {
 }
 
 void SvcHazardLog::clear() {
+  // Graph before log: the nesting order CheckedMutex::lock() uses.
+  LockGraph& graph = lock_graph();
+  std::lock_guard graph_lock(graph.mu);
   std::lock_guard lock(mu_);
   records_.clear();
   total_ = 0;
   // Forget reported pairs too: a cleared log is a fresh analysis window
   // (tests clear between cases and expect redetection).
-  LockGraph& graph = lock_graph();
-  std::lock_guard graph_lock(graph.mu);
   graph.edges.clear();
   graph.reported_pairs.clear();
   graph.reported_waits.clear();

@@ -20,11 +20,11 @@ struct Workload {
 };
 
 Workload make_workload(std::size_t query_len, std::size_t num_seqs,
-                       std::uint64_t seed) {
+                       std::uint64_t seed, double homolog_fraction = 0.06) {
   Workload w;
   w.query = bio::make_benchmark_query(query_len).residues;
   auto profile = bio::DatabaseProfile::swissprot_like(num_seqs);
-  profile.homolog_fraction = 0.06;
+  profile.homolog_fraction = homolog_fraction;
   bio::DatabaseGenerator gen(profile, seed);
   w.db = gen.generate(w.query);
   return w;
@@ -94,6 +94,34 @@ TEST(CoarseBaselines, OverflowRetryPreservesOutput) {
   EXPECT_GT(a.output_overflow_retries, 0u);
   EXPECT_EQ(b.output_overflow_retries, 0u);
   EXPECT_EQ(a.result.alignments, b.result.alignments);
+}
+
+TEST(CoarseBaselines, OutputThatNeverFitsThrowsAfterBoundedRetries) {
+  // One grid block over a dense-homolog database emits more qualifying
+  // extensions than a capacity of 1 reaches after the core retry bound's
+  // doublings, so the search must fail instead of growing forever.
+  const auto w = make_workload(127, 200, 113, /*homolog_fraction=*/1.0);
+  auto config = small_config();
+  config.grid_blocks = 1;
+  config.db_blocks = 1;
+  auto roomy = config;
+  roomy.block_output_capacity = 1 << 16;
+  const int max_retries = core::Config{}.max_bin_retries;
+  ASSERT_GT(baselines::cuda_blastp_search(w.query, w.db, roomy)
+                .result.counters.ungapped_extensions,
+            1u << max_retries);
+
+  config.block_output_capacity = 1;
+  for (const auto search :
+       {&baselines::cuda_blastp_search, &baselines::gpu_blastp_search}) {
+    try {
+      (void)search(w.query, w.db, config);
+      ADD_FAILURE() << "an output that never fits must throw";
+    } catch (const core::SearchError& e) {
+      EXPECT_EQ(e.code(), core::SearchErrorCode::kBinOverflowExhausted)
+          << e.what();
+    }
+  }
 }
 
 TEST(CoarseBaselines, CoarseKernelDivergesMoreThanFineGrained) {

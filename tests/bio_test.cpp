@@ -2,6 +2,7 @@
 // Karlin-Altschul statistics, and the synthetic database generator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -214,11 +215,37 @@ TEST(Database, OffsetsAndSpans) {
 }
 
 TEST(Database, SortedByLengthDesc) {
-  const auto sorted = tiny_db().sorted_by_length_desc();
+  const auto db = tiny_db();
+  std::vector<std::uint32_t> to_original;
+  const auto sorted = db.sorted_by_length_desc(to_original);
   EXPECT_EQ(sorted.length(0), 10u);
   EXPECT_EQ(sorted.length(1), 5u);
   EXPECT_EQ(sorted.length(2), 2u);
   EXPECT_EQ(sorted.id(0), "c");  // identity preserved
+  // The permutation maps every sorted sequence back to its original.
+  ASSERT_EQ(to_original.size(), db.size());
+  std::vector<bool> seen(db.size(), false);
+  for (std::size_t k = 0; k < sorted.size(); ++k) {
+    const std::uint32_t i = to_original[k];
+    ASSERT_LT(i, db.size());
+    EXPECT_FALSE(seen[i]) << "original " << i << " appears twice";
+    seen[i] = true;
+    EXPECT_EQ(sorted.id(k), db.id(i));
+    EXPECT_TRUE(std::ranges::equal(sorted.residues(k), db.residues(i)));
+  }
+}
+
+TEST(Database, SortedByLengthDescIsStable) {
+  // Equal lengths keep their original relative order.
+  const bio::SequenceDatabase db(
+      {{"a", "", bio::encode_string("AAA")},
+       {"b", "", bio::encode_string("CCCCC")},
+       {"c", "", bio::encode_string("GGG")}});
+  std::vector<std::uint32_t> to_original;
+  const auto sorted = db.sorted_by_length_desc(to_original);
+  EXPECT_EQ(to_original, (std::vector<std::uint32_t>{1, 0, 2}));
+  EXPECT_EQ(sorted.id(1), "a");
+  EXPECT_EQ(sorted.id(2), "c");
 }
 
 TEST(Database, SplitBlocksCoversAllSequences) {

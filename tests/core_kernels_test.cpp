@@ -68,11 +68,7 @@ struct PipelineFixture {
   [[nodiscard]] std::vector<blast::UngappedExtension> reference_extensions()
       const {
     std::vector<blast::UngappedExtension> out;
-    blast::TwoHitTracker tracker(query.size() + db.max_length() + 2);
-    for (std::size_t i = 0; i < db.size(); ++i)
-      blast::run_ungapped_phase(lookup, pssm, db.residues(i),
-                                static_cast<std::uint32_t>(i), params,
-                                tracker, out);
+    blast::run_ungapped_range(lookup, pssm, db, 0, db.size(), params, out);
     return out;
   }
 };

@@ -28,11 +28,7 @@ struct Fixture {
     db = gen.generate(query);
     blast::WordLookup lookup(query, bio::Blosum62::instance(), params);
     bio::Pssm pssm(query, bio::Blosum62::instance());
-    blast::TwoHitTracker tracker(query.size() + db.max_length() + 2);
-    for (std::size_t i = 0; i < db.size(); ++i)
-      blast::run_ungapped_phase(lookup, pssm, db.residues(i),
-                                static_cast<std::uint32_t>(i), params,
-                                tracker, seeds);
+    blast::run_ungapped_range(lookup, pssm, db, 0, db.size(), params, seeds);
   }
 };
 

@@ -197,7 +197,7 @@ TEST(PrefilterLosslessness, EverySeedingSequenceSurvivesCalibratedThreshold) {
   EXPECT_LE(threshold, params.ungapped_cutoff);
 
   const auto reference = core::run_block_on_cpu(
-      lookup, pssm, w.db, 0, w.db.size(), query.size(), params);
+      lookup, pssm, w.db, 0, w.db.size(), params);
   ASSERT_FALSE(reference.extensions.empty())
       << "adversarial workload produced no qualifying extensions";
 

@@ -147,11 +147,8 @@ TEST(SimtCheckClean, GappedAblationKernel) {
   blast::WordLookup lookup(fx.query, bio::Blosum62::instance(), params);
   bio::Pssm pssm(fx.query, bio::Blosum62::instance());
   std::vector<blast::UngappedExtension> seeds;
-  blast::TwoHitTracker tracker(fx.query.size() + fx.db.max_length() + 2);
-  for (std::size_t i = 0; i < fx.db.size(); ++i)
-    blast::run_ungapped_phase(lookup, pssm, fx.db.residues(i),
-                              static_cast<std::uint32_t>(i), params, tracker,
-                              seeds);
+  blast::run_ungapped_range(lookup, pssm, fx.db, 0, fx.db.size(), params,
+                            seeds);
   ASSERT_FALSE(seeds.empty());
 
   core::QueryDevice dq(fx.query, lookup, pssm);

@@ -47,14 +47,19 @@ using SvcCheckService = SvcCheckFixture;
 TEST_F(SvcCheck, LockOrderInversionDetectedOncePerPair) {
   util::svc::CheckedMutex a("test.order.a");
   util::svc::CheckedMutex b("test.order.b");
+  // svccheck keys its graph by lock name, so a second pair with the same
+  // names closes the cycle without inverting the same two mutexes (which a
+  // ThreadSanitizer build would itself report as a deadlock).
+  util::svc::CheckedMutex a2("test.order.a");
+  util::svc::CheckedMutex b2("test.order.b");
   {
     std::scoped_lock la(a);
     std::scoped_lock lb(b);  // records edge a -> b
   }
   EXPECT_EQ(SvcHazardLog::instance().total(), 0u);
   for (int repeat = 0; repeat < 3; ++repeat) {
-    std::scoped_lock lb(b);
-    std::scoped_lock la(a);  // a -> b exists: closing b -> a is a cycle
+    std::scoped_lock lb(b2);
+    std::scoped_lock la(a2);  // a -> b exists: closing b -> a is a cycle
   }
   const auto records = SvcHazardLog::instance().snapshot();
   ASSERT_EQ(records.size(), 1u);  // deduped: one report per lock pair
@@ -69,6 +74,7 @@ TEST_F(SvcCheck, TransitiveInversionThroughAThirdLockDetected) {
   util::svc::CheckedMutex a("test.chain.a");
   util::svc::CheckedMutex b("test.chain.b");
   util::svc::CheckedMutex c("test.chain.c");
+  util::svc::CheckedMutex a2("test.chain.a");  // same graph node as `a`
   {
     std::scoped_lock la(a);
     std::scoped_lock lb(b);  // a -> b
@@ -79,7 +85,7 @@ TEST_F(SvcCheck, TransitiveInversionThroughAThirdLockDetected) {
   }
   {
     std::scoped_lock lc(c);
-    std::scoped_lock la(a);  // a ->* c already: c -> a closes the cycle
+    std::scoped_lock la(a2);  // a ->* c already: c -> a closes the cycle
   }
   const auto records = SvcHazardLog::instance().snapshot();
   ASSERT_EQ(records.size(), 1u);
