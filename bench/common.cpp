@@ -237,7 +237,10 @@ int run_engine_wallclock_json(const util::Options& options,
 
   // Per engine_workers: the modeled GPU time and the alignments are the
   // deterministic half, the best-of-N host wall the measured half.
+  // JSON arrays, closed after the loop.
   std::ostringstream runs, walls;
+  runs << '[';
+  walls << '[';
   for (const int workers : {1, 2, 4}) {
     auto config = default_cublastp_config();
     config.engine_workers = workers;
@@ -293,11 +296,13 @@ int run_engine_wallclock_json(const util::Options& options,
 
   BenchResult json("engine_wallclock", default_cublastp_config(), setup);
   json.set_workload(w);
-  json.deterministic_raw("runs", "[" + runs.str() + "]");
+  runs << ']';
+  walls << ']';
+  json.deterministic_raw("runs", runs.str());
   json.measured("repetitions", static_cast<double>(repetitions));
   json.measured("host_threads",
                 static_cast<double>(std::thread::hardware_concurrency()));
-  json.measured_raw("host_wall_s", "[" + walls.str() + "]");
+  json.measured_raw("host_wall_s", walls.str());
   json.measured_raw("segsort_micro",
                     "{\"segments\": 512, \"host_wall_s\": " +
                         format_double(micro_best_s) + "}");

@@ -96,7 +96,8 @@ int run_shard_scaling(const repro::benchx::BenchSetup& setup,
     }
     device_critical_ms.push_back(critical_ms);
 
-    const std::string key = "k" + std::to_string(k);
+    std::string key = "k";
+    key += std::to_string(k);
     json.deterministic(key + "_alignments", alignments);
     json.deterministic(key + "_device_critical_ms", critical_ms);
     json.measured(key + "_modeled_batch_s", batch.modeled_batch_seconds);

@@ -74,6 +74,11 @@ CoarseReport coarse_search(std::span<const std::uint8_t> query,
         config.block_output_capacity, core::Config{}.max_bin_retries,
         report.output_overflow_retries);
     report.result.counters.hits_detected += out.hits_detected;
+    // Every two-hit trigger runs an inline extension: the extensions run
+    // are both the filter survivors and the ungapped extensions, as on the
+    // FSA-BLAST path and the core coarse route.
+    report.result.counters.hits_after_filter += out.extensions_run;
+    report.result.counters.ungapped_extensions += out.extensions_run;
     for (auto& ext : out.extensions) {
       if (sort_by_length) ext.seq = to_original[ext.seq];
       extensions.push_back(ext);
@@ -84,7 +89,6 @@ CoarseReport coarse_search(std::span<const std::uint8_t> query,
   for (std::size_t s = 0; s < db.size(); ++s)
     if (db.length(s) >= word_length)
       report.result.counters.words_scanned += db.length(s) - word_length + 1;
-  report.result.counters.ungapped_extensions = extensions.size();
 
   util::TraceSpan gapped_span("gapped_stage", "baseline");
   auto stage = blast::process_gapped_stage(pssm, db, extensions,

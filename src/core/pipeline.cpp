@@ -105,7 +105,7 @@ void emit_modeled_block(const ModeledBlock& block, double gpu_start_s,
 }
 
 /// A serial CPU slot (query preparation, finalization) on the modeled
-/// batch timeline; drawn on worker 0's track, where the serial host work
+/// timeline; drawn on worker 0's track, where the serial host work
 /// of the real pipeline runs.
 void emit_modeled_cpu_slot(const char* name, std::size_t query_index,
                            double start_s, double duration_s) {
@@ -164,6 +164,12 @@ BlockResidency::BlockResidency(
     const bio::SequenceDatabase& db,
     std::vector<std::pair<std::size_t, std::size_t>> blocks)
     : db_(&db), blocks_(std::move(blocks)), resident_(blocks_.size()) {}
+
+std::uint64_t BlockResidency::block_bytes(std::size_t bi) const {
+  const auto [begin, end] = blocks_[bi];
+  return db_->offsets()[end] - db_->offsets()[begin] +
+         (end - begin + 1) * sizeof(std::uint32_t);
+}
 
 const BlockDevice& BlockResidency::ensure(simt::Engine& engine,
                                           std::size_t bi) {
@@ -306,7 +312,6 @@ BlockLadderResult run_block_ladder(simt::Engine& engine, const Config& config,
                                    const bio::SequenceDatabase& db,
                                    BlockResidency& residency, std::size_t bi,
                                    std::uint32_t& bin_capacity,
-                                   std::uint64_t& overflow_retries,
                                    const PrefilterDevice* prefilter,
                                    int prefilter_threshold,
                                    const CancellationToken& cancel) {
@@ -372,7 +377,8 @@ BlockLadderResult run_block_ladder(simt::Engine& engine, const Config& config,
           // Dense block: the survivor indirection would barely thin the
           // work, so the fused coarse kernel's single launch wins.
           outcome = run_block_on_coarse(engine, attempt_config, ctx.device,
-                                        device_block, overflow_retries);
+                                        device_block,
+                                        result.bin_overflow_retries);
           result.backend = BlockBackend::kCoarse;
         } else if (filter->num_survivors == 0) {
           // Nothing survived: the block provably contributes no
@@ -386,13 +392,13 @@ BlockLadderResult run_block_ladder(simt::Engine& engine, const Config& config,
                                   filter->num_survivors};
           outcome = run_block_on_gpu(engine, attempt_config, ctx.device,
                                      device_block, bin_capacity,
-                                     overflow_retries, view);
+                                     result.bin_overflow_retries, view);
           result.backend = BlockBackend::kFineFiltered;
         }
       } else {
         outcome = run_block_on_gpu(engine, attempt_config, ctx.device,
                                    device_block, bin_capacity,
-                                   overflow_retries);
+                                   result.bin_overflow_retries);
         result.backend = BlockBackend::kFine;
       }
     } catch (const SearchError& e) {
@@ -518,31 +524,14 @@ double run_finalize(std::vector<blast::Alignment>& alignments,
 // Pipeline model (paper Fig. 12), generalized across queries.
 // ---------------------------------------------------------------------------
 
-PipelineTotals walk_pipeline(std::span<const ModeledBlock> blocks,
-                             std::size_t cpu_threads, bool emit_modeled) {
-  PipelineTotals totals;
-  double gpu_done_s = 0.0, cpu_done_s = 0.0;
-  for (const auto& block : blocks) {
-    const double gpu_start_s = gpu_done_s;
-    gpu_done_s += block.gpu_s;
-    const double cpu_start_s = std::max(cpu_done_s, gpu_done_s);
-    cpu_done_s = cpu_start_s + block.cpu_s;
-    totals.serial_s += block.gpu_s + block.cpu_s;
-    if (emit_modeled && util::trace_enabled())
-      emit_modeled_block(block, gpu_start_s, cpu_start_s, cpu_threads);
-  }
-  totals.overlapped_s = cpu_done_s;
-  return totals;
-}
-
 double walk_batch_pipeline(std::span<const ModeledQuery> queries,
-                           std::size_t cpu_threads) {
+                           std::size_t cpu_threads, bool emit_modeled) {
   // Two resources — the GPU/PCIe chain and the CPU — shared by every
   // query. Preparation gates the query's first GPU block and occupies the
   // CPU; each block's CPU phases start once its GPU chain and all earlier
   // CPU work are done; finalization occupies the CPU after the query's
   // last block.
-  const bool emit = util::trace_enabled();
+  const bool emit = emit_modeled && util::trace_enabled();
   double gpu_free_s = 0.0, cpu_free_s = 0.0;
   std::size_t qi = 0;
   for (const auto& q : queries) {

@@ -10,11 +10,12 @@
 //            the degradation ladder        GPU w/ cache off, CPU fallback)
 //   stage 4  CPU gapped + traceback       run_block_cpu_stage
 //   stage 5  finalize (rank, e-values)    run_finalize
-//   model    Fig. 12 overlap walk         walk_pipeline / walk_batch_pipeline
+//   model    Fig. 12 overlap walk         walk_batch_pipeline (one query or
+//                                          a batch)
 //
 // A SearchSession (search_session.hpp) owns the long-lived state (engine
-// shards, residency) and threads the stages together; the stages themselves hold no
-// hidden state beyond what their signatures say.
+// shards, residency) and threads the stages together; the stages themselves
+// hold no hidden state beyond what their signatures say.
 #pragma once
 
 #include <cstdint>
@@ -58,6 +59,11 @@ class BlockResidency {
       std::size_t bi) const {
     return blocks_[bi];
   }
+
+  /// Size of block `bi`'s device image (residues plus its num_seqs + 1
+  /// 32-bit offsets), computed on the host without staging anything; equal
+  /// to BlockDevice::h2d_bytes of the uploaded block.
+  [[nodiscard]] std::uint64_t block_bytes(std::size_t bi) const;
 
   /// Returns the device image of block `bi`, uploading it first if this is
   /// the first use. Throws std::bad_alloc / simt::DeviceError /
@@ -127,6 +133,9 @@ struct BlockOutcome {
                                             const blast::SearchParams& params);
 
 /// Stage 3 result: the block outcome plus what the ladder did to get it.
+/// The one per-block record: it travels unchanged from the ladder through
+/// the shard to the session's gather, which folds every report total and
+/// shard summary from these records.
 struct BlockLadderResult {
   BlockOutcome outcome;
   std::uint32_t failed_attempts = 0;  ///< GPU rungs that failed (0..2)
@@ -139,6 +148,11 @@ struct BlockLadderResult {
   /// Words the serving backend actually scanned: survivor words when the
   /// filtered fine path served the block, the whole block otherwise.
   std::uint64_t words_scanned = 0;
+  /// Bin/output-capacity overflow retries across every GPU rung.
+  std::uint64_t bin_overflow_retries = 0;
+  /// Modeled device ms of the block's GPU chain (H2D, kernels, D2H); set
+  /// by the shard from its engine's profile.
+  double gpu_ms = 0.0;
 };
 
 /// Stage 3: one database block through the full degradation ladder —
@@ -162,7 +176,6 @@ struct BlockLadderResult {
     simt::Engine& engine, const Config& config, const QueryContext& ctx,
     const bio::SequenceDatabase& db, BlockResidency& residency,
     std::size_t bi, std::uint32_t& bin_capacity,
-    std::uint64_t& overflow_retries,
     const PrefilterDevice* prefilter = nullptr, int prefilter_threshold = 0,
     const CancellationToken& cancel = {});
 
@@ -213,21 +226,6 @@ struct ModeledBlock {
   std::vector<util::ScheduledTask> traceback_schedule;
 };
 
-struct PipelineTotals {
-  double overlapped_s = 0.0;  ///< makespan of the two-resource walk
-  double serial_s = 0.0;      ///< sum of every phase (no overlap)
-};
-
-/// Single-query Fig. 12 walk: the GPU/PCIe chain processes blocks in
-/// order; the CPU phases of block i start when both its GPU chain and the
-/// CPU phases of block i-1 are done. While tracing (and `emit_modeled` is
-/// set — batch reports pass false and emit the cross-query walk instead),
-/// the walk is emitted as the synthetic "modeled pipeline" process of the
-/// trace.
-[[nodiscard]] PipelineTotals walk_pipeline(std::span<const ModeledBlock> blocks,
-                                           std::size_t cpu_threads,
-                                           bool emit_modeled = true);
-
 /// One query's contribution to the batch walk.
 struct ModeledQuery {
   double prep_s = 0.0;      ///< query preparation (CPU, gates the GPU chain)
@@ -235,13 +233,19 @@ struct ModeledQuery {
   std::vector<ModeledBlock> blocks;
 };
 
-/// Cross-query generalization of the Fig. 12 walk (DESIGN.md §12): one GPU
-/// chain and one CPU resource shared by every query, so query q+1's GPU
-/// blocks run while query q's CPU phases drain — the paper's intra-query
-/// overlap applied across a batch. Reduces to prep + walk_pipeline +
-/// finalize for a single query. While tracing, the batch walk is emitted
-/// as the modeled-pipeline process. Returns the batch makespan in seconds.
+/// The Fig. 12 walk (DESIGN.md §12), generalized across queries: one GPU
+/// chain and one CPU resource shared by every query. Within a query the
+/// GPU/PCIe chain processes blocks in order and the CPU phases of block i
+/// start when both its GPU chain and the CPU phases of block i-1 are done;
+/// across queries, query q+1's GPU blocks run while query q's CPU phases
+/// drain. Preparation gates a query's first block and finalization follows
+/// its last, both on the CPU. A single search walks one query. While
+/// tracing (and `emit_modeled` is set — per-query reports inside a batch
+/// pass false, the batch emits its own walk), the walk is emitted as the
+/// synthetic "modeled pipeline" process of the trace. Returns the makespan
+/// in seconds.
 [[nodiscard]] double walk_batch_pipeline(std::span<const ModeledQuery> queries,
-                                         std::size_t cpu_threads);
+                                         std::size_t cpu_threads,
+                                         bool emit_modeled = true);
 
 }  // namespace repro::core

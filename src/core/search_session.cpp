@@ -33,27 +33,14 @@ struct QueryRun {
   CancellationToken cancel;
 
   std::optional<QueryContext> ctx;
+  /// Filled in place by the gather, the CPU half and finish_search_report.
   SearchReport report;
-
-  simt::ProfileRegistry profile_delta;  ///< summed over shards
-  simt::HazardReport hazards;
   std::uint64_t fires_before = 0;
 
-  double prep_s = 0.0;
-  std::vector<double> block_fallback_s;  ///< global block order
-
-  /// Per-shard summaries for the v4 report, in shard order. Moved into
-  /// SearchReport::shards by finish_search_report.
-  std::vector<ShardSummary> shards;
-
-  // CPU-half outputs.
-  double gapped_s = 0.0;
-  double traceback_s = 0.0;
-  double finalize_s = 0.0;
-  std::uint64_t gapped_extensions = 0;
-  std::uint64_t tracebacks = 0;
-  std::vector<blast::Alignment> alignments;
-  std::vector<ModeledBlock> modeled;  ///< global block order
+  /// The query on the modeled Fig. 12 timeline: preparation and
+  /// finalization seconds plus one block per database block, in global
+  /// block order.
+  ModeledQuery modeled;
 };
 
 }  // namespace detail
@@ -131,22 +118,13 @@ void scan_leaks(const EngineShard& shard, std::uint64_t generation,
     simt::device_leak_check(sink, generation);
 }
 
-/// Assembles the SearchReport (profile delta, pipeline walk, timings,
-/// metrics, continuous-profiler fold-in) from a finished query.
+/// Completes the SearchReport of a finished query (per-kernel times,
+/// pipeline walk, timings, metrics, continuous-profiler fold-in).
 void finish_search_report(QueryRun& run, const Config& config,
                           simt::prof::ContinuousProfiler& profiler,
                           bool emit_modeled_trace) {
   SearchReport& report = run.report;
-  report.result.alignments = std::move(run.alignments);
-  report.gapped_seconds = run.gapped_s;
-  report.traceback_seconds = run.traceback_s;
-  report.result.counters.gapped_extensions = run.gapped_extensions;
-  report.result.counters.tracebacks = run.tracebacks;
-  report.other_seconds = run.prep_s + run.finalize_s;
-
-  report.profile = std::move(run.profile_delta);
-  report.hazards = std::move(run.hazards);
-  report.shards = std::move(run.shards);
+  report.other_seconds = run.modeled.prep_s + run.modeled.finalize_s;
   report.detection_ms = kernel_ms(report.profile, kKernelDetection);
   report.scan_ms = kernel_ms(report.profile, kKernelScan);
   report.assemble_ms = kernel_ms(report.profile, kKernelAssemble);
@@ -162,13 +140,15 @@ void finish_search_report(QueryRun& run, const Config& config,
   report.d2h_ms = kernel_ms(report.profile, "d2h_extensions") +
                   kernel_ms(report.profile, "d2h_prefilter");
 
-  const PipelineTotals totals =
-      walk_pipeline(run.modeled, config.cpu_threads, emit_modeled_trace);
-  report.overlapped_total_seconds = totals.overlapped_s + report.other_seconds;
-  report.serial_total_seconds = totals.serial_s + report.other_seconds;
-
-  double fallback_seconds = 0.0;
-  for (const double s : run.block_fallback_s) fallback_seconds += s;
+  report.overlapped_total_seconds =
+      walk_batch_pipeline(std::span<const ModeledQuery>(&run.modeled, 1),
+                          config.cpu_threads, emit_modeled_trace);
+  double serial_s = 0.0, fallback_seconds = 0.0;
+  for (const ModeledBlock& block : run.modeled.blocks) {
+    serial_s += block.gpu_s + block.cpu_s;
+    fallback_seconds += block.fallback_s;
+  }
+  report.serial_total_seconds = serial_s + report.other_seconds;
 
   // Map into the common PhaseTimings (GPU ms -> seconds). Degraded blocks
   // fold their host-side critical-phase cost into hit detection, where the
@@ -312,7 +292,7 @@ void SearchSession::run_query(std::span<const std::uint8_t> query,
     run.ctx.emplace(query, *db_, config_,
                     bio::SearchSpace{db_->total_residues(), db_->size()});
     prep_span.end();
-    run.prep_s = prep_timer.seconds();
+    run.modeled.prep_s = prep_timer.seconds();
   }
 
   run.report.prefilter_mode = config_.prefilter;
@@ -383,44 +363,51 @@ void SearchSession::run_query(std::span<const std::uint8_t> query,
                               " produced no result after scatter");
   }
 
+  // One pass over every shard's ladder records, in shard (= global block)
+  // order: each record is folded into the report and its shard's summary,
+  // then its block's CPU half runs (stage 4: gapped extension +
+  // traceback). Driven from the gathering thread, so the per-block loop and
+  // summation order are the same at every K.
   SearchReport& report = run.report;
   auto& counters = report.result.counters;
   for (std::size_t s = 0; s < k; ++s) {
     ShardGpuResult& gpu = *gathered[s];
-    const EngineShard& shard = *shards_[s];
-    run.shards.push_back(summarize_shard(s, shard.first_block(), gpu));
-
-    report.bin_overflow_retries += gpu.bin_overflow_retries;
-    report.cache_off_retries += gpu.cache_off_retries;
-    report.degraded_blocks += gpu.degraded_blocks;
-    report.prefilter_sequences += gpu.prefilter_sequences;
-    report.prefilter_survivors += gpu.prefilter_survivors;
-    report.prefilter_degraded_blocks += gpu.prefilter_degraded_blocks;
-    counters.hits_detected += gpu.hits_detected;
-    counters.hits_after_filter += gpu.hits_after_filter;
-    counters.ungapped_extensions += gpu.ungapped_extensions;
-    counters.words_scanned += gpu.words_scanned;
-
-    report.retry_counts.insert(report.retry_counts.end(),
-                               gpu.retry_counts.begin(),
-                               gpu.retry_counts.end());
-    report.block_backends.insert(report.block_backends.end(),
-                                 gpu.block_backends.begin(),
-                                 gpu.block_backends.end());
-    run.block_fallback_s.insert(run.block_fallback_s.end(),
-                                gpu.block_fallback_s.begin(),
-                                gpu.block_fallback_s.end());
-
+    const std::size_t first_block = shards_[s]->first_block();
     for (const auto& [name, stats] : gpu.profile_delta.kernels())
-      run.profile_delta.add(stats);
-    run.hazards.merge(gpu.hazards);
+      report.profile.add(stats);
+    report.hazards.merge(gpu.hazards);
 
-    // --- stage 4: gapped extension + traceback, block by block ----------
-    // Driven from the gathering thread in shard (= global block) order, so
-    // the per-block loop and summation order are the same at every K.
-    for (std::size_t bi = 0; bi < shard.num_blocks(); ++bi) {
+    ShardSummary& summary = report.shards.emplace_back();
+    summary.shard = static_cast<std::uint32_t>(s);
+    summary.first_block = static_cast<std::uint32_t>(first_block);
+    summary.num_blocks = static_cast<std::uint32_t>(gpu.blocks.size());
+    summary.kernel_ms = gpu.profile_delta.total_time_ms();
+
+    for (std::size_t bi = 0; bi < gpu.blocks.size(); ++bi) {
+      const BlockLadderResult& block = gpu.blocks[bi];
+      summary.backends.push_back(block.backend);
+      summary.retry_attempts += block.failed_attempts;
+      summary.degraded_blocks += block.degraded ? 1 : 0;
+      summary.cache_off_retries += block.cache_off_retry ? 1 : 0;
+      summary.bin_overflow_retries += block.bin_overflow_retries;
+      summary.prefilter_degraded_blocks += block.prefilter_degraded ? 1 : 0;
+      report.retry_counts.push_back(block.failed_attempts);
+      report.block_backends.push_back(block.backend);
+      report.prefilter_sequences += block.prefilter_seqs;
+      report.prefilter_survivors += block.prefilter_survivors;
+      counters.hits_detected += block.outcome.hits_detected;
+      counters.hits_after_filter += block.outcome.hits_after_filter;
+      counters.ungapped_extensions += block.outcome.ungapped_extensions;
+      counters.words_scanned += block.words_scanned;
+      if (util::trace_enabled()) {
+        util::trace_counter("hits_detected_total",
+                            static_cast<double>(counters.hits_detected));
+        util::trace_counter("hits_after_filter_total",
+                            static_cast<double>(counters.hits_after_filter));
+      }
+
       run.cancel.throw_if_stopped("cpu_phase.block");
-      const std::size_t global_bi = shard.first_block() + bi;
+      const std::size_t global_bi = first_block + bi;
       util::TraceSpan gapped_span;
       if (util::trace_enabled()) {
         gapped_span.open("gapped_stage", "cpu");
@@ -428,7 +415,7 @@ void SearchSession::run_query(std::span<const std::uint8_t> query,
         gapped_span.arg("shard", static_cast<std::uint64_t>(s));
       }
       BlockCpuResult stage = run_block_cpu_stage(
-          *run.ctx, *db_, gpu.block_extensions[bi], config_);
+          *run.ctx, *db_, block.outcome.extensions, config_);
       if (gapped_span.active()) {
         gapped_span.arg(
             "gapped_tasks",
@@ -437,32 +424,37 @@ void SearchSession::run_query(std::span<const std::uint8_t> query,
             "traceback_tasks",
             static_cast<std::uint64_t>(stage.traceback_schedule.size()));
       }
-      run.gapped_s += stage.gapped_makespan_seconds;
-      run.traceback_s += stage.traceback_makespan_seconds;
-      run.gapped_extensions += stage.gapped_extensions;
-      run.tracebacks += stage.tracebacks;
+      report.gapped_seconds += stage.gapped_makespan_seconds;
+      report.traceback_seconds += stage.traceback_makespan_seconds;
+      counters.gapped_extensions += stage.gapped_extensions;
+      counters.tracebacks += stage.tracebacks;
 
-      ModeledBlock modeled;
-      modeled.query_index = run.query_index;
-      modeled.block_index = global_bi;
-      modeled.gpu_s = gpu.block_gpu_ms[bi] / 1e3;
-      modeled.cpu_s = stage.gapped_makespan_seconds +
-                      stage.traceback_makespan_seconds +
-                      gpu.block_fallback_s[bi];
-      modeled.fallback_s = gpu.block_fallback_s[bi];
-      modeled.gapped_schedule = std::move(stage.gapped_schedule);
-      modeled.traceback_schedule = std::move(stage.traceback_schedule);
-      run.modeled.push_back(std::move(modeled));
+      const double fallback_s = block.outcome.cpu_fallback_seconds;
+      run.modeled.blocks.push_back(ModeledBlock{
+          .query_index = run.query_index,
+          .block_index = global_bi,
+          .gpu_s = block.gpu_ms / 1e3,
+          .cpu_s = stage.gapped_makespan_seconds +
+                   stage.traceback_makespan_seconds + fallback_s,
+          .fallback_s = fallback_s,
+          .gapped_schedule = std::move(stage.gapped_schedule),
+          .traceback_schedule = std::move(stage.traceback_schedule)});
 
-      run.alignments.insert(run.alignments.end(),
-                            std::make_move_iterator(stage.alignments.begin()),
-                            std::make_move_iterator(stage.alignments.end()));
+      report.result.alignments.insert(
+          report.result.alignments.end(),
+          std::make_move_iterator(stage.alignments.begin()),
+          std::make_move_iterator(stage.alignments.end()));
     }
+    report.degraded_blocks += summary.degraded_blocks;
+    report.cache_off_retries += summary.cache_off_retries;
+    report.bin_overflow_retries += summary.bin_overflow_retries;
+    report.prefilter_degraded_blocks += summary.prefilter_degraded_blocks;
   }
 
   // --- stage 5: finalization over the merged fleet-wide alignments --------
   run.cancel.throw_if_stopped("finalize");
-  run.finalize_s = run_finalize(run.alignments, *run.ctx, config_);
+  run.modeled.finalize_s =
+      run_finalize(report.result.alignments, *run.ctx, config_);
   run.wall_seconds = run.wall.seconds();
 }
 
@@ -571,17 +563,17 @@ BatchReport SearchSession::search_batch(
     finish_search_report(run, config_, profiler_,
                          /*emit_modeled_trace=*/false);
 
-    // Re-partition the global modeled-block list back into per-shard lists
-    // (contiguous global block ranges) for the fleet walk.
+    // Shards own contiguous global block ranges, so each shard's modeled
+    // blocks are the next contiguous run of the query's block list.
+    auto next = run.modeled.blocks.begin();
     for (std::size_t s = 0; s < shards_.size(); ++s) {
       ModeledQuery& mq = shard_modeled[s][qi];
-      mq.prep_s = run.prep_s;
-      mq.finalize_s = run.finalize_s;
-      const std::size_t first = shards_[s]->first_block();
-      const std::size_t end = first + shards_[s]->num_blocks();
-      for (ModeledBlock& block : run.modeled)
-        if (block.block_index >= first && block.block_index < end)
-          mq.blocks.push_back(std::move(block));
+      mq.prep_s = run.modeled.prep_s;
+      mq.finalize_s = run.modeled.finalize_s;
+      const auto owned = static_cast<std::ptrdiff_t>(shards_[s]->num_blocks());
+      mq.blocks.assign(std::make_move_iterator(next),
+                       std::make_move_iterator(next + owned));
+      next += owned;
     }
 
     batch.per_query_wall_seconds.push_back(run.wall_seconds);
@@ -612,16 +604,10 @@ BatchReport SearchSession::search_batch(
   // whatever upload time its profile already contains.
   double full_upload_ms = 0.0;
   const simt::Engine& cost_engine = shards_[0]->engine();
-  for (const auto& shard : shards_) {
-    for (std::size_t bi = 0; bi < shard->num_blocks(); ++bi) {
-      const auto [begin, end] = shard->block_range(bi);
-      const std::uint64_t block_bytes =
-          db_->offsets()[end] - db_->offsets()[begin] +
-          (end - begin + 1) * sizeof(std::uint32_t);
-      full_upload_ms +=
-          cost_engine.cost_model().transfer_ms(cost_engine.spec(), block_bytes);
-    }
-  }
+  for (const auto& shard : shards_)
+    for (std::size_t bi = 0; bi < shard->num_blocks(); ++bi)
+      full_upload_ms += cost_engine.cost_model().transfer_ms(
+          cost_engine.spec(), shard->block_bytes(bi));
   for (const auto& report : batch.reports)
     batch.modeled_sequential_seconds +=
         report.overlapped_total_seconds +

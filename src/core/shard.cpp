@@ -11,23 +11,6 @@
 
 namespace repro::core {
 
-ShardSummary summarize_shard(std::size_t shard_index, std::size_t first_block,
-                             const ShardGpuResult& gpu) {
-  ShardSummary summary;
-  summary.shard = static_cast<std::uint32_t>(shard_index);
-  summary.first_block = static_cast<std::uint32_t>(first_block);
-  summary.num_blocks = static_cast<std::uint32_t>(gpu.block_backends.size());
-  summary.backends = gpu.block_backends;
-  for (const std::uint32_t attempts : gpu.retry_counts)
-    summary.retry_attempts += attempts;
-  summary.degraded_blocks = gpu.degraded_blocks;
-  summary.cache_off_retries = gpu.cache_off_retries;
-  summary.bin_overflow_retries = gpu.bin_overflow_retries;
-  summary.prefilter_degraded_blocks = gpu.prefilter_degraded_blocks;
-  summary.kernel_ms = gpu.profile_delta.total_time_ms();
-  return summary;
-}
-
 EngineShard::EngineShard(
     const Config& config, const bio::SequenceDatabase& db,
     std::size_t shard_index, std::size_t first_block,
@@ -43,14 +26,9 @@ EngineShard::EngineShard(
 }
 
 std::uint64_t EngineShard::db_device_bytes() const {
-  // Mirrors BlockDevice::h2d_bytes without staging anything: each block's
-  // residues plus its (num_seqs + 1) 32-bit offsets.
   std::uint64_t bytes = 0;
-  for (std::size_t bi = 0; bi < residency_.num_blocks(); ++bi) {
-    const auto [begin, end] = residency_.range(bi);
-    bytes += db_->offsets()[end] - db_->offsets()[begin];
-    bytes += (end - begin + 1) * sizeof(std::uint32_t);
-  }
+  for (std::size_t bi = 0; bi < residency_.num_blocks(); ++bi)
+    bytes += residency_.block_bytes(bi);
   return bytes;
 }
 
@@ -84,6 +62,7 @@ ShardGpuResult EngineShard::run_gpu_blocks(const QueryContext& ctx,
   // shard filters at the identical score.
   std::optional<PrefilterDevice> prefilter;
   int prefilter_threshold = 0;
+  bool prefilter_table_failed = false;
   if (config_->prefilter != PrefilterMode::kOff) {
     prefilter_threshold = prefilter_threshold_for(*config_, ctx.evalue);
     try {
@@ -97,8 +76,9 @@ ShardGpuResult EngineShard::run_gpu_blocks(const QueryContext& ctx,
       prefilter.reset();
     }
     if (!prefilter.has_value()) {
-      // Every block of this shard is served unfiltered.
-      out.prefilter_degraded_blocks = num_blocks;
+      // Every block of this shard is served unfiltered, and its record
+      // says so.
+      prefilter_table_failed = true;
       if (util::trace_enabled())
         util::trace_instant(
             "degrade.prefilter_off", "degrade",
@@ -106,11 +86,7 @@ ShardGpuResult EngineShard::run_gpu_blocks(const QueryContext& ctx,
     }
   }
 
-  out.retry_counts.assign(num_blocks, 0);
-  out.block_backends.reserve(num_blocks);
-  out.block_extensions.resize(num_blocks);
-  out.block_fallback_s.assign(num_blocks, 0.0);
-  out.block_gpu_ms.assign(num_blocks, 0.0);
+  out.blocks.reserve(num_blocks);
 
   // Bin capacity starts from the configured value for every query (growth
   // is a per-search, per-shard adaptation, so session results match
@@ -132,34 +108,12 @@ ShardGpuResult EngineShard::run_gpu_blocks(const QueryContext& ctx,
     }
     const double gpu_ms_before = engine_.profile().total_time_ms();
 
-    BlockLadderResult ladder = run_block_ladder(
+    BlockLadderResult& ladder = out.blocks.emplace_back(run_block_ladder(
         engine_, *config_, ctx, *db_, residency_, bi, bin_capacity,
-        out.bin_overflow_retries,
         prefilter.has_value() ? &*prefilter : nullptr, prefilter_threshold,
-        cancel);
-
-    out.retry_counts[bi] = ladder.failed_attempts;
-    if (ladder.cache_off_retry) ++out.cache_off_retries;
-    if (ladder.degraded) ++out.degraded_blocks;
-    out.block_backends.push_back(ladder.backend);
-    out.prefilter_sequences += ladder.prefilter_seqs;
-    out.prefilter_survivors += ladder.prefilter_survivors;
-    if (ladder.prefilter_degraded) ++out.prefilter_degraded_blocks;
-
-    out.hits_detected += ladder.outcome.hits_detected;
-    out.hits_after_filter += ladder.outcome.hits_after_filter;
-    out.ungapped_extensions += ladder.outcome.ungapped_extensions;
-    out.words_scanned += ladder.words_scanned;
-    out.block_extensions[bi] = std::move(ladder.outcome.extensions);
-    out.block_fallback_s[bi] = ladder.outcome.cpu_fallback_seconds;
-
-    out.block_gpu_ms[bi] = engine_.profile().total_time_ms() - gpu_ms_before;
-    if (util::trace_enabled()) {
-      util::trace_counter("hits_detected_total",
-                          static_cast<double>(out.hits_detected));
-      util::trace_counter("hits_after_filter_total",
-                          static_cast<double>(out.hits_after_filter));
-    }
+        cancel));
+    ladder.gpu_ms = engine_.profile().total_time_ms() - gpu_ms_before;
+    if (prefilter_table_failed) ladder.prefilter_degraded = true;
   }
 
   // Attribute this query's engine work now: the CPU half never touches the

@@ -8,7 +8,9 @@
 // degradation ladder. It holds no query-global state: cutoffs and
 // thresholds come from the QueryContext the caller built over the
 // *aggregate* search space (bio::SearchSpace), which is what makes K
-// shards' merged results bit-identical to one engine's.
+// shards' merged results bit-identical to one engine's. It keeps no totals
+// either: it returns one BlockLadderResult per owned block, and the
+// session's gather folds the report and the shard's summary from them.
 //
 //   SearchSession = K EngineShards + scatter–gather (search_session.hpp);
 //                   K = 1 is one EngineShard covering every block
@@ -27,38 +29,16 @@
 
 namespace repro::core {
 
-/// Everything one shard's GPU half contributes to a query: per-block
-/// outputs indexed by *local* block (0 = the shard's first block; global
-/// index = first_block() + local), plus shard-total counters and the
-/// shard-engine profile/hazard deltas. Concatenating these in shard order
+/// Everything one shard's GPU half contributes to a query: one ladder
+/// record per owned block, indexed by *local* block (0 = the shard's first
+/// block; global index = first_block() + local), plus the shard-engine
+/// profile/hazard deltas. Concatenating the records in shard order
 /// reproduces the single-engine per-block sequence exactly.
 struct ShardGpuResult {
-  std::vector<std::vector<blast::UngappedExtension>> block_extensions;
-  std::vector<std::uint32_t> retry_counts;   ///< failed attempts per block
-  std::vector<BlockBackend> block_backends;  ///< who served each block
-  std::vector<double> block_fallback_s;
-  std::vector<double> block_gpu_ms;
-
-  std::uint64_t bin_overflow_retries = 0;
-  std::uint64_t cache_off_retries = 0;
-  std::uint64_t degraded_blocks = 0;
-  std::uint64_t prefilter_sequences = 0;
-  std::uint64_t prefilter_survivors = 0;
-  std::uint64_t prefilter_degraded_blocks = 0;
-
-  std::uint64_t hits_detected = 0;
-  std::uint64_t hits_after_filter = 0;
-  std::uint64_t ungapped_extensions = 0;
-  std::uint64_t words_scanned = 0;
-
+  std::vector<BlockLadderResult> blocks;
   simt::ProfileRegistry profile_delta;  ///< this query's launches, this shard
   simt::HazardReport hazards;           ///< simtcheck findings, this shard
 };
-
-/// The v4 report's per-shard section for one finished GPU half.
-[[nodiscard]] ShardSummary summarize_shard(std::size_t shard_index,
-                                           std::size_t first_block,
-                                           const ShardGpuResult& gpu);
 
 class EngineShard {
  public:
@@ -90,9 +70,9 @@ class EngineShard {
   [[nodiscard]] std::size_t num_blocks() const {
     return residency_.num_blocks();
   }
-  [[nodiscard]] const std::pair<std::size_t, std::size_t>& block_range(
-      std::size_t local_bi) const {
-    return residency_.range(local_bi);
+  /// Device-image bytes of owned block `local_bi`, resident or not.
+  [[nodiscard]] std::uint64_t block_bytes(std::size_t local_bi) const {
+    return residency_.block_bytes(local_bi);
   }
 
   [[nodiscard]] simt::Engine& engine() { return engine_; }

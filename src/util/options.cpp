@@ -11,7 +11,7 @@ Options::Options(int argc, const char* const* argv) {
     if (arg.rfind("--", 0) == 0) {
       const auto eq = arg.find('=');
       if (eq == std::string::npos) {
-        kv_[arg.substr(2)] = "1";
+        kv_[arg.substr(2)].assign(1, '1');
       } else {
         kv_[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
       }

@@ -6,7 +6,11 @@
 
 #include "baselines/coarse_gpu.hpp"
 #include "baselines/cpu.hpp"
+#include "bio/blosum.hpp"
 #include "bio/generator.hpp"
+#include "bio/pssm.hpp"
+#include "blast/ungapped.hpp"
+#include "blast/wordlookup.hpp"
 #include "core/cublastp.hpp"
 #include "core/kernels.hpp"
 #include "util/rng.hpp"
@@ -83,6 +87,28 @@ TEST(CoarseBaselines, HitCountsMatchFsa) {
   EXPECT_EQ(reference.counters.words_scanned, cuda.result.counters.words_scanned);
 }
 
+TEST(CoarseBaselines, CountersMatchFsa) {
+  // Every work counter the baselines share with FSA-BLAST means the same
+  // thing: the fused kernel runs one inline extension per two-hit trigger,
+  // so extensions run count as both filter survivors and ungapped
+  // extensions, exactly as on the FSA path.
+  const auto w = make_workload(127, 50, 71);
+  const auto config = small_config();
+  const auto reference =
+      baselines::fsa_blast_search(w.query, w.db, config.params).counters;
+  ASSERT_GT(reference.ungapped_extensions, 0u);
+  for (const auto search :
+       {&baselines::cuda_blastp_search, &baselines::gpu_blastp_search}) {
+    const auto counters = search(w.query, w.db, config).result.counters;
+    EXPECT_EQ(reference.words_scanned, counters.words_scanned);
+    EXPECT_EQ(reference.hits_detected, counters.hits_detected);
+    EXPECT_EQ(reference.hits_after_filter, counters.hits_after_filter);
+    EXPECT_EQ(reference.ungapped_extensions, counters.ungapped_extensions);
+    EXPECT_EQ(reference.gapped_extensions, counters.gapped_extensions);
+    EXPECT_EQ(reference.tracebacks, counters.tracebacks);
+  }
+}
+
 TEST(CoarseBaselines, OverflowRetryPreservesOutput) {
   const auto w = make_workload(127, 60, 89);
   auto tiny = small_config();
@@ -104,12 +130,16 @@ TEST(CoarseBaselines, OutputThatNeverFitsThrowsAfterBoundedRetries) {
   auto config = small_config();
   config.grid_blocks = 1;
   config.db_blocks = 1;
-  auto roomy = config;
-  roomy.block_output_capacity = 1 << 16;
+  // The one grid block's output holds every qualifying extension of the
+  // database; count them with the scalar two-hit loop.
+  const blast::WordLookup lookup(w.query, bio::Blosum62::instance(),
+                                 config.params);
+  const bio::Pssm pssm(w.query, bio::Blosum62::instance());
+  std::vector<blast::UngappedExtension> qualifying;
+  (void)blast::run_ungapped_range(lookup, pssm, w.db, 0, w.db.size(),
+                                  config.params, qualifying);
   const int max_retries = core::Config{}.max_bin_retries;
-  ASSERT_GT(baselines::cuda_blastp_search(w.query, w.db, roomy)
-                .result.counters.ungapped_extensions,
-            1u << max_retries);
+  ASSERT_GT(qualifying.size(), 1u << max_retries);
 
   config.block_output_capacity = 1;
   for (const auto search :
@@ -176,8 +206,9 @@ TEST(CoarseBaselines, DynamicQueueBalancesBetterThanStaticOnSkew) {
   util::Rng rng(103);
   for (int i = 0; i < 128; ++i) {
     const std::size_t len = (i % 37 == 0) ? 2000 : 60;
-    seqs.push_back({"s" + std::to_string(i), "",
-                    bio::random_protein(len, rng)});
+    std::string id = "s";
+    id += std::to_string(i);
+    seqs.push_back({std::move(id), "", bio::random_protein(len, rng)});
   }
   bio::SequenceDatabase db(std::move(seqs));
   const auto query = bio::make_benchmark_query(127).residues;

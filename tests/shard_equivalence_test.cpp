@@ -119,13 +119,16 @@ void expect_reports_equal(const core::SearchReport& single,
 
 /// The v4 shards section must tile the block split: contiguous first_block
 /// ranges in shard order whose concatenated backends equal the global
-/// per-block backend vector.
+/// per-block backend vector, and whose degradation counts add up to the
+/// report's totals.
 void expect_shard_topology(const core::SearchReport& report,
                            std::size_t expected_shards,
                            std::size_t db_blocks) {
   ASSERT_EQ(report.shards.size(), expected_shards);
   std::size_t next_block = 0;
   std::vector<core::BlockBackend> concatenated;
+  std::uint64_t degraded = 0, cache_off = 0, bin_overflow = 0,
+                prefilter_degraded = 0, retry_attempts = 0;
   for (std::size_t s = 0; s < report.shards.size(); ++s) {
     const core::ShardSummary& shard = report.shards[s];
     EXPECT_EQ(shard.shard, s);
@@ -135,9 +138,22 @@ void expect_shard_topology(const core::SearchReport& report,
     concatenated.insert(concatenated.end(), shard.backends.begin(),
                         shard.backends.end());
     next_block += shard.num_blocks;
+    degraded += shard.degraded_blocks;
+    cache_off += shard.cache_off_retries;
+    bin_overflow += shard.bin_overflow_retries;
+    prefilter_degraded += shard.prefilter_degraded_blocks;
+    retry_attempts += shard.retry_attempts;
   }
   EXPECT_EQ(next_block, db_blocks);
   EXPECT_EQ(concatenated, report.block_backends);
+  EXPECT_EQ(degraded, report.degraded_blocks);
+  EXPECT_EQ(cache_off, report.cache_off_retries);
+  EXPECT_EQ(bin_overflow, report.bin_overflow_retries);
+  EXPECT_EQ(prefilter_degraded, report.prefilter_degraded_blocks);
+  std::uint64_t retry_counts = 0;
+  for (const std::uint32_t attempts : report.retry_counts)
+    retry_counts += attempts;
+  EXPECT_EQ(retry_attempts, retry_counts);
 }
 
 struct Case {
@@ -278,6 +294,7 @@ TEST(ShardEquivalenceFaults, OneShardFallsToCpuWhileSiblingsStayFine) {
   EXPECT_EQ(faulty.faults_encountered, 2u);
   EXPECT_EQ(faulty.degraded_blocks, 1u);
   ASSERT_EQ(faulty.shards.size(), 4u);
+  expect_shard_topology(faulty, 4, /*db_blocks=*/4);
   EXPECT_EQ(faulty.shards[0].degraded_blocks, 1u);
   ASSERT_FALSE(faulty.shards[0].backends.empty());
   EXPECT_EQ(faulty.shards[0].backends[0], core::BlockBackend::kCpu);
@@ -309,6 +326,7 @@ TEST(ShardEquivalenceFaults, PrefilterFaultDegradesOneBlockNotTheFleet) {
   EXPECT_EQ(faulty.degraded_blocks, 0u);  // never left the GPU
   EXPECT_EQ(faulty.prefilter_degraded_blocks, 1u);
   ASSERT_EQ(faulty.shards.size(), 4u);
+  expect_shard_topology(faulty, 4, /*db_blocks=*/4);
   EXPECT_EQ(faulty.shards[2].prefilter_degraded_blocks, 1u);
   EXPECT_EQ(faulty.shards[2].backends[0], core::BlockBackend::kFine);
   for (const std::size_t s : {0u, 1u, 3u}) {
@@ -317,6 +335,39 @@ TEST(ShardEquivalenceFaults, PrefilterFaultDegradesOneBlockNotTheFleet) {
     EXPECT_EQ(faulty.shards[s].backends[0],
               core::BlockBackend::kFineFiltered);
   }
+}
+
+TEST(ShardEquivalenceFaults, PrefilterTableFaultDegradesEveryBlockOfOneShard) {
+  // The fault-injected scatter is serialized, and each shard transfers its
+  // h2d_query before its h2d_prefilter table, so the second transfer of
+  // the search is shard 0's table upload. Without its table shard 0
+  // serves every block it owns unfiltered; its sibling keeps filtering
+  // and the merged alignments do not change.
+  const auto w = make_workload();
+  auto config = base_config(/*shards=*/2, /*engine_workers=*/1,
+                            core::PrefilterMode::kOn);
+  const auto clean = core::SearchSession(config, w.db).search(w.query);
+
+  config.fault_schedule = "simt.transfer:nth=2";
+  config.fault_seed = 7;
+  core::SearchSession fleet(config, w.db);
+  const auto faulty = fleet.search(w.query);
+
+  EXPECT_EQ(clean.result.alignments, faulty.result.alignments);
+  EXPECT_EQ(faulty.faults_encountered, 1u);
+  EXPECT_EQ(faulty.degraded_blocks, 0u);
+  ASSERT_EQ(faulty.shards.size(), 2u);
+  expect_shard_topology(faulty, 2, /*db_blocks=*/4);
+  const core::ShardSummary& shard0 = faulty.shards[0];
+  EXPECT_EQ(shard0.prefilter_degraded_blocks, shard0.num_blocks);
+  for (const auto backend : shard0.backends)
+    EXPECT_EQ(backend, core::BlockBackend::kFine);
+  EXPECT_EQ(faulty.shards[1].prefilter_degraded_blocks, 0u);
+  for (const auto backend : faulty.shards[1].backends)
+    EXPECT_EQ(backend, core::BlockBackend::kFineFiltered);
+  EXPECT_EQ(faulty.prefilter_degraded_blocks, shard0.num_blocks);
+  // Only the filtering shard scored sequences.
+  EXPECT_LT(faulty.prefilter_sequences, clean.prefilter_sequences);
 }
 
 TEST(ShardEquivalenceHazards, AnalyzersFindNothingInShardedMode) {
